@@ -1,6 +1,6 @@
-// Command meslint is the project's own vet suite. It bundles the five
-// analyzers under internal/analysis — traceguard, detnondet,
-// poolhygiene, mechtable and allocfree — into a unitchecker binary that
+// Command meslint is the project's own vet suite. It bundles the four
+// analyzers under internal/analysis — detnondet, poolhygiene, mechtable
+// and allocfree — into a unitchecker binary that
 // plugs into the standard toolchain:
 //
 //	go build -o bin/meslint ./cmd/meslint
@@ -20,12 +20,10 @@ import (
 	"mes/internal/analysis/detnondet"
 	"mes/internal/analysis/mechtable"
 	"mes/internal/analysis/poolhygiene"
-	"mes/internal/analysis/traceguard"
 )
 
 func main() {
 	unitchecker.Main(
-		traceguard.Analyzer,
 		detnondet.Analyzer,
 		poolhygiene.Analyzer,
 		mechtable.Analyzer,

@@ -7,14 +7,12 @@
 //
 //   - function literals, which allocate a closure when they capture
 //     (and defeat inlining either way);
-//   - fmt calls on the guard-free path — formatting is only acceptable
-//     inside a Tracing() guard or on error paths the budget never runs;
+//   - fmt calls — formatting is only acceptable on error paths the
+//     budget never runs, marked with //lint:allow;
 //   - implicit interface conversions of non-pointer-shaped values
 //     (basics, strings, structs, slices), which box on the heap.
 //
-// Code inside an `if x.Tracing() { ... }` block is exempt: traced runs
-// may allocate. Intentional cold-path constructs carry
-// //lint:allow allocfree <reason>.
+// Intentional cold-path constructs carry //lint:allow allocfree <reason>.
 package allocfree
 
 import (
@@ -31,7 +29,7 @@ import (
 
 var Analyzer = &analysis.Analyzer{
 	Name:     "allocfree",
-	Doc:      "flag closures, guard-free fmt calls and interface boxing inside functions annotated //mes:allocfree",
+	Doc:      "flag closures, fmt calls and interface boxing inside functions annotated //mes:allocfree",
 	Requires: []*analysis.Analyzer{inspect.Analyzer},
 	Run:      run,
 }
@@ -48,13 +46,12 @@ func run(pass *analysis.Pass) (interface{}, error) {
 			return
 		}
 		w := &walker{pass: pass, ix: ix, sig: funcSignature(pass, fd)}
-		w.stmt(fd.Body)
+		ast.Inspect(fd.Body, w.visit)
 	})
 	return nil, nil
 }
 
-// walker traverses an annotated function body, skipping
-// Tracing()-guarded blocks.
+// walker traverses an annotated function body.
 type walker struct {
 	pass *analysis.Pass
 	ix   *directive.Index
@@ -67,40 +64,8 @@ func (w *walker) report(pos token.Pos, format string, args ...interface{}) {
 	}
 }
 
-// stmt dispatches one statement, handling the guard exemption.
-func (w *walker) stmt(s ast.Stmt) {
-	if ifStmt, ok := s.(*ast.IfStmt); ok && requiresTracing(ifStmt.Cond) {
-		// Traced-only block: its body may allocate. The condition and
-		// else branch stay on the guard-free path.
-		w.expr(ifStmt.Cond)
-		if ifStmt.Else != nil {
-			w.stmt(ifStmt.Else)
-		}
-		return
-	}
-	ast.Inspect(s, w.visit)
-}
-
-// expr walks one expression subtree.
-func (w *walker) expr(e ast.Expr) {
-	if e != nil {
-		ast.Inspect(e, w.visit)
-	}
-}
-
 func (w *walker) visit(n ast.Node) bool {
 	switch n := n.(type) {
-	case *ast.IfStmt:
-		if requiresTracing(n.Cond) {
-			w.expr(n.Cond)
-			if n.Init != nil {
-				w.stmt(n.Init)
-			}
-			if n.Else != nil {
-				w.stmt(n.Else)
-			}
-			return false
-		}
 	case *ast.FuncLit:
 		w.report(n.Pos(), "function literal in an allocfree function: closures capture and allocate; hoist it to a reused field or method value")
 		return false // one report per literal; don't descend
@@ -122,7 +87,7 @@ func (w *walker) call(call *ast.CallExpr) {
 		return // conversion, handled by the surrounding context checks
 	}
 	if fn := calleeFunc(w.pass, call); fn != nil && fn.Pkg() != nil && fn.Pkg().Path() == "fmt" {
-		w.report(call.Pos(), "fmt.%s on the guard-free path of an allocfree function: move it under a Tracing() guard or onto the error path", fn.Name())
+		w.report(call.Pos(), "fmt.%s in an allocfree function: move it onto the error path", fn.Name())
 		return
 	}
 	sig, ok := w.pass.TypesInfo.Types[call.Fun].Type.(*types.Signature)
@@ -215,28 +180,6 @@ func funcSignature(pass *analysis.Pass, fd *ast.FuncDecl) *types.Signature {
 		return obj.Type().(*types.Signature)
 	}
 	return nil
-}
-
-// requiresTracing mirrors traceguard's guard predicate: the condition
-// being true implies a Tracing() call returned true.
-func requiresTracing(cond ast.Expr) bool {
-	switch e := cond.(type) {
-	case *ast.ParenExpr:
-		return requiresTracing(e.X)
-	case *ast.BinaryExpr:
-		if e.Op == token.LAND {
-			return requiresTracing(e.X) || requiresTracing(e.Y)
-		}
-		return false
-	case *ast.CallExpr:
-		switch fun := e.Fun.(type) {
-		case *ast.Ident:
-			return fun.Name == "Tracing"
-		case *ast.SelectorExpr:
-			return fun.Sel.Name == "Tracing"
-		}
-	}
-	return false
 }
 
 func calleeFunc(pass *analysis.Pass, call *ast.CallExpr) *types.Func {

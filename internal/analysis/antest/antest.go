@@ -18,7 +18,7 @@
 // Expectations use double-quoted Go string literals holding regular
 // expressions, e.g.:
 //
-//	k.Tracef(p, "ev", "x") // want "not dominated by a Tracing"
+//	fmt.Println(n) // want "fmt\\.Println in an allocfree function"
 package antest
 
 import (

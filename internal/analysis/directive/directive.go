@@ -9,8 +9,8 @@
 //     precedes. The reason is mandatory: an allow without one is itself
 //     reported, so every exemption records its why.
 //   - //mes:<name> [args] — contract annotations consumed by specific
-//     analyzers: //mes:allocfree marks a function whose guard-free path
-//     must not allocate, //mes:mechtable <Type> marks a construct that
+//     analyzers: //mes:allocfree marks a function whose steady-state
+//     path must not allocate, //mes:mechtable <Type> marks a construct that
 //     must mention every constant of an enum type, //mes:mechevents and
 //     //mes:mechevents-keys tie the mechanisms' traced event names to
 //     the detector's channelEvents table.

@@ -8,8 +8,8 @@ import (
 
 // BenchmarkDetectAnalyze measures the trace-scan cost per entry — the
 // defender-side analog of the kernel's events/s number, tracked in
-// BENCH_PR*.json. Keys are derived from entry arguments, so the scan pays
-// no per-entry fmt rendering.
+// BENCH_PR*.json. Entries are grouped by their Object, so the scan pays
+// no per-entry parsing or fmt rendering.
 func BenchmarkDetectAnalyze(b *testing.B) {
 	const n = 8192
 	entries := BenchTrace(n)
@@ -77,9 +77,9 @@ func TestAnalyzerMatchesOneShot(t *testing.T) {
 	}
 }
 
-// TestAnalyzeKeysMatchRenderedDetails pins the keying contract: resources
-// derived from entry arguments must group and render exactly as keying off
-// the rendered detail text did, including the kill→"target=" form and
+// TestAnalyzeKeysMatchRenderedDetails pins the keying contract for
+// pre-rendered entries: resources parsed from the detail text group and
+// render by the resource each names, including the kill→"target=" form and
 // flock lock/unlock folding.
 func TestAnalyzeKeysMatchRenderedDetails(t *testing.T) {
 	var entries []sim.Entry
@@ -115,19 +115,19 @@ func TestAnalyzeKeysMatchRenderedDetails(t *testing.T) {
 // TestAnalyzeKeysNewMechanismEvents pins the keying contract for the
 // extension mechanisms' trace events: futex lock/unlock pairs fold by
 // object name (like flock's EX/UN), condsignal keys by condvar name, and
-// write/fsync key by path with the count prefixes stripped — for both
-// kernel-recorded (lazy format args) and pre-rendered entries.
+// write/fsync key by path without their count prefixes — for both
+// kernel-recorded (typed Record) and pre-rendered MakeEntry entries.
 func TestAnalyzeKeysNewMechanismEvents(t *testing.T) {
 	tr := sim.NewTrace(0)
 	k := sim.NewKernel(sim.WithTrace(tr))
 	k.Spawn("pair", func(p *sim.Proc) {
 		for i := 0; i < 16; i++ {
 			p.Sleep(40 * sim.Microsecond)
-			k.Tracef(p, "futex", "EX %s", "mes_fu_1")
-			k.Tracef(p, "futex", "UN %s", "mes_fu_1")
-			k.Tracef(p, "condsignal", "%s", "mes_cv_1")
-			k.Tracef(p, "write", "%d %s", 12, "/share/t.dat")
-			k.Tracef(p, "fsync", "flushed=%d %s", 12, "/share/s.dat")
+			k.Record(p, sim.SiteFutexEX, "mes_fu_1", 0, 0)
+			k.Record(p, sim.SiteFutexUN, "mes_fu_1", 0, 0)
+			k.Record(p, sim.SiteCondSignal, "mes_cv_1", 0, 0)
+			k.Record(p, sim.SiteWrite, "/share/t.dat", 12, 0)
+			k.Record(p, sim.SiteFsync, "/share/s.dat", 12, 0)
 		}
 	})
 	if err := k.Run(); err != nil {
@@ -167,15 +167,15 @@ func TestAnalyzeKeysNewMechanismEvents(t *testing.T) {
 }
 
 // TestAnalyzeKillKeyingAcrossProvenance: kernel-recorded kill entries
-// (lazy format, bare target argument) and pre-rendered MakeEntry kill
-// entries must fold into one resource group.
+// (bare target Object) and pre-rendered MakeEntry kill entries (Object
+// parsed from "target=<name>") must fold into one resource group.
 func TestAnalyzeKillKeyingAcrossProvenance(t *testing.T) {
 	tr := sim.NewTrace(0)
 	k := sim.NewKernel(sim.WithTrace(tr))
 	k.Spawn("trojan", func(p *sim.Proc) {
 		for i := 0; i < 16; i++ {
 			p.Sleep(50 * sim.Microsecond)
-			k.Tracef(p, "kill", "sig=%d target=%s", 9, "spy")
+			k.Record(p, sim.SiteKill, "spy", 9, 0)
 		}
 	})
 	if err := k.Run(); err != nil {

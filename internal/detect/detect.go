@@ -48,8 +48,8 @@ func (s Score) String() string {
 // Threshold above which a resource is flagged as a likely covert channel.
 const Threshold = 0.5
 
-// resID groups entries by event kind and normalized resource without
-// materializing a key string per entry.
+// resID groups entries by event kind and resource without materializing
+// a key string per entry.
 type resID struct {
 	event string
 	res   string
@@ -105,12 +105,12 @@ func NewAnalyzer() *Analyzer {
 }
 
 // Analyze scores every resource appearing in the trace's channel-relevant
-// events, most suspicious first. Per-resource keys are derived from the
-// entries' stored arguments (Entry.ResourceHint), so scanning a trace
-// never renders Entry.Detail's fmt.Sprintf per entry; the displayed
-// resource name is interned once per unique resource for the Analyzer's
-// lifetime. The returned slice is borrowed: it is valid until the
-// Analyzer's next scan.
+// events, most suspicious first. Entries group by their event and the
+// resource each carries (Entry.Object), so scanning a trace parses and
+// renders nothing per entry, and a run of entries on one resource costs
+// no map lookup after its first; the displayed resource name is interned
+// once per unique resource for the Analyzer's lifetime. The returned
+// slice is borrowed: it is valid until the Analyzer's next scan.
 func (a *Analyzer) Analyze(entries []sim.Entry) []Score {
 	if a.groups == nil {
 		a.groups = make(map[resID]int)
@@ -120,33 +120,17 @@ func (a *Analyzer) Analyze(entries []sim.Entry) []Score {
 	clear(a.groups)
 	a.ids = a.ids[:0]
 	a.out = a.out[:0]
+	last, idx := resID{}, -1
 	for _, e := range entries {
-		if !channelEvents[e.Event] {
-			continue
+		if e.Object == "" {
+			continue // park, sleep, exit, crash: no resource to group by
 		}
-		raw, ok := e.ResourceHint()
-		if !ok {
-			raw = e.Detail() // foreign entry shapes: render, rare
-		}
-		res := normalizeDetail(raw)
-		if e.Event == "kill" {
-			// Kernel-recorded kill hints carry the bare target name
-			// while pre-rendered details normalize to "target=<name>";
-			// strip to the bare form so both provenances group
-			// together (TrimPrefix shares the backing, no allocation).
-			res = strings.TrimPrefix(res, "target=")
-		}
-		id := resID{event: e.Event, res: res}
-		idx, ok := a.groups[id]
-		if !ok {
-			idx = len(a.ids)
-			a.ids = append(a.ids, id)
-			if idx < len(a.series) {
-				a.series[idx] = a.series[idx][:0]
-			} else {
-				a.series = append(a.series, nil)
+		id := resID{event: e.Event(), res: e.Object}
+		if idx < 0 || id != last {
+			if !channelEvents[id.event] {
+				continue
 			}
-			a.groups[id] = idx
+			last, idx = id, a.group(id)
 		}
 		a.series[idx] = append(a.series[idx], e.T)
 	}
@@ -170,6 +154,23 @@ func (a *Analyzer) Analyze(entries []sim.Entry) []Score {
 	return a.out
 }
 
+// group returns id's index into ids/series, opening a group (reusing a
+// series backing array) on the resource's first entry of the scan.
+func (a *Analyzer) group(id resID) int {
+	idx, ok := a.groups[id]
+	if !ok {
+		idx = len(a.ids)
+		a.ids = append(a.ids, id)
+		if idx < len(a.series) {
+			a.series[idx] = a.series[idx][:0]
+		} else {
+			a.series = append(a.series, nil)
+		}
+		a.groups[id] = idx
+	}
+	return idx
+}
+
 // Analyze scores a trace with a one-shot Analyzer — the convenience form
 // for callers outside scanning loops. The result is caller-owned.
 func Analyze(entries []sim.Entry) []Score {
@@ -177,9 +178,8 @@ func Analyze(entries []sim.Entry) []Score {
 	return a.Analyze(entries)
 }
 
-// resourceName renders the per-resource display key, matching what keying
-// off rendered details produced: kill entries group under the
-// "target=<proc>" form their detail text ends with (the id stores the
+// resourceName renders the per-resource display key: kill entries show
+// the "target=<proc>" form their detail text ends with (the id stores the
 // bare target name).
 func resourceName(id resID) string {
 	if id.event == "kill" {
@@ -197,15 +197,6 @@ func Flagged(entries []sim.Entry) []Score {
 		}
 	}
 	return out
-}
-
-// normalizeDetail strips the lock-kind prefix so lock and unlock events on
-// one file group together.
-func normalizeDetail(detail string) string {
-	if i := strings.LastIndex(detail, " "); i >= 0 {
-		return detail[i+1:]
-	}
-	return detail
 }
 
 // scoreSeries computes the suspicion components for one resource, using
@@ -292,8 +283,8 @@ func (a *Analyzer) twoMeans(v []float64) (lo, hi []float64) {
 	defer func() { a.lo, a.hi = lo, hi }()
 	minV, maxV := v[0], v[0]
 	for _, x := range v {
-		minV = math.Min(minV, x)
-		maxV = math.Max(maxV, x)
+		minV = min(minV, x)
+		maxV = max(maxV, x)
 	}
 	cLo, cHi := minV, maxV
 	for iter := 0; iter < 24; iter++ {

@@ -1,6 +1,7 @@
 package detect
 
 import (
+	"maps"
 	"testing"
 
 	"mes/internal/codec"
@@ -116,5 +117,49 @@ func TestDetectorIgnoresUnrelatedEvents(t *testing.T) {
 	}
 	if got := Analyze(entries); len(got) != 0 {
 		t.Fatalf("scored unrelated events: %v", got)
+	}
+}
+
+// TestDistinctResourcesSharingFinalWord: two files whose paths end in the
+// same space-separated word are two resources. Keying off the detail
+// text's last field merged them into one "flock:b.txt" group.
+func TestDistinctResourcesSharingFinalWord(t *testing.T) {
+	tr := sim.NewTrace(0)
+	sys := osmodel.NewSystem(osmodel.Config{
+		Profile: timing.ProfileFor(timing.Linux, timing.Local),
+		Seed:    3,
+		Trace:   tr,
+	})
+	paths := []string{"/share/a b.txt", "/share/c b.txt"}
+	for _, path := range paths {
+		if _, err := sys.CreateSharedFile(path, 0, false, false); err != nil {
+			t.Fatal(err)
+		}
+	}
+	sys.Spawn("locker", sys.Host(), func(p *osmodel.Proc) {
+		for _, path := range paths {
+			fd, err := p.OpenFile(path, false)
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			for i := 0; i < 16; i++ {
+				p.Flock(fd, vfs.LockEx, false)
+				p.Sleep(30 * sim.Microsecond)
+				p.Flock(fd, vfs.LockNone, false)
+			}
+			p.CloseFd(fd)
+		}
+	})
+	if err := sys.Run(); err != nil {
+		t.Fatal(err)
+	}
+	got := map[string]int{}
+	for _, s := range Analyze(tr.Entries()) {
+		got[s.Resource] = s.Events
+	}
+	want := map[string]int{"flock:/share/a b.txt": 32, "flock:/share/c b.txt": 32}
+	if !maps.Equal(got, want) {
+		t.Fatalf("resources = %v, want %v", got, want)
 	}
 }

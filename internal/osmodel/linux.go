@@ -1,6 +1,7 @@
 package osmodel
 
 import (
+	"mes/internal/sim"
 	"mes/internal/timing"
 	"mes/internal/vfs"
 )
@@ -59,17 +60,17 @@ func (p *Proc) Flock(fd int, kind vfs.LockKind, nonblock bool) error {
 	if kind == vfs.LockNone {
 		p.exec(timing.OpUnlock)
 		p.crossFd(fd)
-		if p.sys.k.Tracing() {
-			p.sys.k.Tracef(p.sp, "flock", "UN %s", in.Path())
-		}
+		p.sys.k.Record(p.sp, sim.SiteFlockUN, in.Path(), 0, 0)
 		p.sys.wakeVFS(p, in.Unlock(f), WaitObject0)
 		return nil
 	}
 	p.exec(timing.OpLock)
 	p.crossFd(fd)
-	if p.sys.k.Tracing() {
-		p.sys.k.Tracef(p.sp, "flock", "%v %s", kind, in.Path())
+	site := sim.SiteFlockEX
+	if kind == vfs.LockSh {
+		site = sim.SiteFlockSH
 	}
+	p.sys.k.Record(p.sp, site, in.Path(), 0, 0)
 	for {
 		if in.TryFlock(f, kind) {
 			return nil
@@ -107,9 +108,7 @@ func (p *Proc) WriteFile(fd int, pages int) error {
 	p.exec(timing.OpWrite)
 	in := f.Inode()
 	p.crossFd(fd)
-	if p.sys.k.Tracing() {
-		p.sys.k.Tracef(p.sp, "write", "%d %s", pages, in.Path())
-	}
+	p.sys.k.Record(p.sp, sim.SiteWrite, in.Path(), int64(pages), 0)
 	p.dom.fs.MarkDirty(in, pages)
 	return nil
 }
@@ -132,9 +131,7 @@ func (p *Proc) Fsync(fd int) (int, error) {
 	for i := 0; i < n; i++ {
 		p.exec(timing.OpPageFlush)
 	}
-	if p.sys.k.Tracing() {
-		p.sys.k.Tracef(p.sp, "fsync", "flushed=%d %s", n, in.Path())
-	}
+	p.sys.k.Record(p.sp, sim.SiteFsync, in.Path(), int64(n), 0)
 	return n, nil
 }
 

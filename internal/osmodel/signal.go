@@ -3,6 +3,7 @@ package osmodel
 import (
 	"errors"
 
+	"mes/internal/sim"
 	"mes/internal/timing"
 )
 
@@ -45,9 +46,7 @@ func (p *Proc) Kill(target *Proc, sig int) error {
 			p.sp.Advance(d)
 		}
 	}
-	if p.sys.k.Tracing() {
-		p.sys.k.Tracef(p.sp, "kill", "sig=%d target=%s", sig, target.name)
-	}
+	p.sys.k.Record(p.sp, sim.SiteKill, target.name, int64(sig), 0)
 	if target.sigWaiting == sig {
 		delay := p.sys.prof.Cost(target.rng, timing.OpWakeDeliver)
 		if p.dom != target.dom {

@@ -2,6 +2,7 @@ package osmodel
 
 import (
 	"mes/internal/kobj"
+	"mes/internal/sim"
 	"mes/internal/timing"
 )
 
@@ -62,9 +63,7 @@ func (p *Proc) FutexLock(h kobj.Handle) error {
 	}
 	p.exec(timing.OpFutexWait)
 	p.crossHandle(h)
-	if p.sys.k.Tracing() {
-		p.sys.k.Tracef(p.sp, "futex", "EX %s", obj.Name())
-	}
+	p.sys.k.Record(p.sp, sim.SiteFutexEX, obj.Name(), 0, 0)
 	for {
 		if obj.TryWait(p) {
 			return nil
@@ -90,9 +89,7 @@ func (p *Proc) FutexUnlock(h kobj.Handle) error {
 	}
 	p.exec(timing.OpFutexWake)
 	p.crossHandle(h)
-	if p.sys.k.Tracing() {
-		p.sys.k.Tracef(p.sp, "futex", "UN %s", obj.Name())
-	}
+	p.sys.k.Record(p.sp, sim.SiteFutexUN, obj.Name(), 0, 0)
 	p.sys.wake(p, obj.(*kobj.Futex).Unlock(), WaitObject0)
 	return nil
 }
@@ -107,9 +104,7 @@ func (p *Proc) FutexWake(h kobj.Handle, n int) error {
 	}
 	p.exec(timing.OpFutexWake)
 	p.crossHandle(h)
-	if p.sys.k.Tracing() {
-		p.sys.k.Tracef(p.sp, "futex", "WAKE %s", obj.Name())
-	}
+	p.sys.k.Record(p.sp, sim.SiteFutexWake, obj.Name(), 0, 0)
 	p.sys.wake(p, obj.(*kobj.Futex).Wake(n), futexRewoken)
 	return nil
 }
@@ -175,9 +170,7 @@ func (p *Proc) CondSignal(h kobj.Handle) error {
 	}
 	p.exec(timing.OpCondSignal)
 	p.crossHandle(h)
-	if p.sys.k.Tracing() {
-		p.sys.k.Tracef(p.sp, "condsignal", "%s", obj.Name())
-	}
+	p.sys.k.Record(p.sp, sim.SiteCondSignal, obj.Name(), 0, 0)
 	p.sys.wake(p, obj.(*kobj.Cond).Signal(), WaitObject0)
 	return nil
 }
@@ -192,9 +185,7 @@ func (p *Proc) CondBroadcast(h kobj.Handle) error {
 	}
 	p.exec(timing.OpCondSignal)
 	p.crossHandle(h)
-	if p.sys.k.Tracing() {
-		p.sys.k.Tracef(p.sp, "condsignal", "%s", obj.Name())
-	}
+	p.sys.k.Record(p.sp, sim.SiteCondSignal, obj.Name(), 0, 0)
 	p.sys.wake(p, obj.(*kobj.Cond).Broadcast(), WaitObject0)
 	return nil
 }

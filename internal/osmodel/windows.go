@@ -69,9 +69,7 @@ func (p *Proc) SetEvent(h kobj.Handle) error {
 	}
 	p.exec(timing.OpSet)
 	p.crossHandle(h)
-	if p.sys.k.Tracing() {
-		p.sys.k.Tracef(p.sp, "setevent", "%s", obj.Name())
-	}
+	p.sys.k.Record(p.sp, sim.SiteSetEvent, obj.Name(), 0, 0)
 	p.sys.wake(p, obj.(*kobj.Event).Set(), WaitObject0)
 	return nil
 }

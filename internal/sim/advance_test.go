@@ -36,28 +36,31 @@ func TestAdvanceZeroAndNegative(t *testing.T) {
 	}
 }
 
-func TestPublicTracef(t *testing.T) {
+func TestPublicRecord(t *testing.T) {
 	tr := NewTrace(0)
 	k := NewKernel(WithTrace(tr))
 	k.Spawn("p", func(p *Proc) {
-		k.Tracef(p, "syscall", "flock %s", "/f")
+		k.Record(p, SiteFlockEX, "/f", 0, 0)
 	})
 	if err := k.Run(); err != nil {
 		t.Fatalf("Run: %v", err)
 	}
-	got := tr.Filter("syscall")
-	if len(got) != 1 || !strings.Contains(got[0].Detail(), "/f") {
+	got := tr.Filter("flock")
+	if len(got) != 1 || got[0].Object != "/f" || got[0].Detail() != "EX /f" || got[0].Proc() != "p" {
 		t.Fatalf("trace = %v", got)
 	}
 }
 
-func TestTracefWithoutTraceIsNoop(t *testing.T) {
+func TestRecordWithoutTraceIsNoop(t *testing.T) {
 	k := NewKernel()
 	k.Spawn("p", func(p *Proc) {
-		k.Tracef(p, "syscall", "x") // must not panic
+		k.Record(p, SiteFlockEX, "/f", 0, 0) // must not panic
 	})
 	if err := k.Run(); err != nil {
 		t.Fatalf("Run: %v", err)
+	}
+	if k.Trace() != nil {
+		t.Fatal("untraced kernel grew a trace")
 	}
 }
 

@@ -185,7 +185,7 @@ func (k *Kernel) crashSelf(p *Proc) {
 	p.crashed = true
 	p.state = ProcDone
 	k.live--
-	k.tracef(p, "crash", "")
+	k.Record(p, SiteCrash, "", 0, 0)
 	panic(procAbort{})
 }
 
@@ -200,7 +200,7 @@ func (k *Kernel) crashParked(q *Proc) {
 	}
 	k.fstats.Crashes++
 	q.crashed = true
-	k.tracef(q, "crash", "")
+	k.Record(q, SiteCrash, "", 0, 0)
 	q.co.cancel()
 	q.detach()
 	q.state = ProcDone

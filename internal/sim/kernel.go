@@ -257,7 +257,7 @@ func (k *Kernel) Release() {
 // keeping allocated capacity.
 func (k *Kernel) resetState() {
 	// Detach the previous run's trace before unwinding: an abandoned
-	// body's deferred functions may call Tracef on the way down, and those
+	// body's deferred functions may call Record on the way down, and those
 	// entries must not leak into a trace the caller already collected.
 	k.trace = nil
 	// Unwind abandoned bodies before touching any other state: events
@@ -329,11 +329,6 @@ func (k *Kernel) Trace() *Trace { return k.trace }
 // a machine parked in a reuse pool must not keep the previous caller's
 // trace alive until its next Reset.
 func (k *Kernel) DetachTrace() { k.trace = nil }
-
-// Tracing reports whether a trace recorder is attached. Hot paths check it
-// before assembling Tracef arguments, so untraced runs never box values
-// into interfaces.
-func (k *Kernel) Tracing() bool { return k.trace != nil }
 
 // schedule inserts an event at absolute time t (clamped to now). The heap
 // is 4-ary: shallower than a binary heap for the same size, so the sift-up
@@ -633,25 +628,16 @@ func (k *Kernel) Step() bool {
 // Live reports the number of processes that have not finished.
 func (k *Kernel) Live() int { return k.live }
 
-// Tracef records an event against p in the attached trace (no-op without
-// one). Higher layers use it to log syscall-level activity — the
-// observability surface a defender would monitor. Formatting is deferred:
-// the format and args are stored verbatim and rendered only when the trace
-// is read, so traced runs do not pay fmt.Sprintf per entry. Args must
-// therefore be values, not pointers to state that later mutates. Callers on
-// allocation-sensitive paths should guard with Tracing() so the variadic
-// args are never boxed.
-func (k *Kernel) Tracef(p *Proc, ev, format string, args ...interface{}) {
-	k.tracef(p, ev, format, args...)
-}
-
-func (k *Kernel) tracef(p *Proc, ev, format string, args ...interface{}) {
-	if k.trace == nil {
-		return
+// Record appends an entry for p at site s to the attached trace (no-op
+// without one). Higher layers use it to log syscall-level activity — the
+// observability surface a defender would monitor. obj names the resource
+// the call touched (object name, file path or signal target; "" for
+// none) and a, b fill the site's integer slots (0 when unused). Nothing
+// is formatted or boxed here: the detail renders from the site's format
+// when the trace is read, so recording allocates only the trace's own
+// growth and untraced runs pay one nil check.
+func (k *Kernel) Record(p *Proc, s Site, obj string, a, b int64) {
+	if k.trace != nil {
+		k.trace.record(k.now, p, s, obj, a, b)
 	}
-	name, id := "", 0
-	if p != nil {
-		name, id = p.name, p.id
-	}
-	k.trace.add(Entry{T: k.now, PID: id, Proc: name, Event: ev, format: format, args: args})
 }

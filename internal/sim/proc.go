@@ -134,7 +134,7 @@ func (p *Proc) runBody() (completed bool) {
 	p.body(p)
 	p.state = ProcDone
 	p.k.live--
-	p.k.tracef(p, "exit", "")
+	p.k.Record(p, SiteExit, "", 0, 0)
 	return true
 }
 
@@ -342,9 +342,7 @@ func (p *Proc) Sleep(d Duration) {
 		// the model draw so the primary RNG stream is unperturbed.
 		total = p.k.faultSleep(p, total)
 	}
-	if p.k.trace != nil {
-		p.k.tracef(p, "sleep", "%v (effective %v)", d, total)
-	}
+	p.k.Record(p, SiteSleep, "", int64(d), int64(total))
 	p.pause(p.k.now.Add(total))
 }
 
@@ -373,7 +371,7 @@ func (p *Proc) Exec(cost Duration) {
 // Park blocks until another process (or a kernel event) calls Wake. It
 // returns the value passed to Wake.
 func (p *Proc) Park() int {
-	p.k.tracef(p, "park", "")
+	p.k.Record(p, SitePark, "", 0, 0)
 	p.yield(ProcParked)
 	return p.wakeValue
 }

@@ -227,13 +227,13 @@ func TestResetMidWaitDeepNest(t *testing.T) {
 }
 
 // TestResetDoesNotLeakTraceEntries: an unwound body's deferred functions
-// may call Tracef on the way down; those entries must not be appended to
+// may call Record on the way down; those entries must not be appended to
 // the trace the previous run's caller already collected.
 func TestResetDoesNotLeakTraceEntries(t *testing.T) {
 	tr := NewTrace(0)
 	k := NewKernel(WithTrace(tr))
 	k.Spawn("stuck", func(p *Proc) {
-		defer k.Tracef(p, "cleanup", "unwound")
+		defer k.Record(p, SiteExit, "", 0, 0)
 		p.Park()
 	})
 	var dl *DeadlockError

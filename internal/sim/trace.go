@@ -5,65 +5,155 @@ import (
 	"strings"
 )
 
-// Entry is one recorded trace line. The detail text is stored as a format
-// string plus its arguments and rendered only when the entry is read, so
-// recording a traced run never pays fmt.Sprintf in the scheduler hot path.
-type Entry struct {
-	T     Time
-	PID   int
-	Proc  string
-	Event string
+// Site identifies the code path that recorded a trace entry. Each site
+// fixes the entry's event name, its detail format and which of the
+// entry's fields the format reads (see the sites table), so recording
+// stores plain values and formatting happens only when the entry is read.
+type Site uint8
 
+// Recording sites. The kernel records park, exit, crash and sleep; the OS
+// model records the syscall-level sites a defender would monitor.
+const (
+	siteForeign Site = iota // MakeEntry: event and detail carried as text
+	SitePark
+	SiteExit
+	SiteCrash
+	SiteSleep
+	SiteFlockUN
+	SiteFlockEX
+	SiteFlockSH
+	SiteWrite
+	SiteFsync
+	SiteKill
+	SiteFutexEX
+	SiteFutexUN
+	SiteFutexWake
+	SiteCondSignal
+	SiteSetEvent
+	numSites
+)
+
+// argLayout says which entry fields a site's detail format consumes.
+type argLayout uint8
+
+const (
+	argsNone   argLayout = iota // no detail text
+	argsObj                     // format(Object)
+	argsIntObj                  // format(a, Object)
+	argsDurDur                  // format(Duration(a), Duration(b))
+)
+
+var sites = [numSites]struct {
+	event  string
 	format string
-	args   []interface{}
+	args   argLayout
+}{
+	SitePark:       {"park", "", argsNone},
+	SiteExit:       {"exit", "", argsNone},
+	SiteCrash:      {"crash", "", argsNone},
+	SiteSleep:      {"sleep", "%v (effective %v)", argsDurDur},
+	SiteFlockUN:    {"flock", "UN %s", argsObj},
+	SiteFlockEX:    {"flock", "EX %s", argsObj},
+	SiteFlockSH:    {"flock", "SH %s", argsObj},
+	SiteWrite:      {"write", "%d %s", argsIntObj},
+	SiteFsync:      {"fsync", "flushed=%d %s", argsIntObj},
+	SiteKill:       {"kill", "sig=%d target=%s", argsIntObj},
+	SiteFutexEX:    {"futex", "EX %s", argsObj},
+	SiteFutexUN:    {"futex", "UN %s", argsObj},
+	SiteFutexWake:  {"futex", "WAKE %s", argsObj},
+	SiteCondSignal: {"condsignal", "%s", argsObj},
+	SiteSetEvent:   {"setevent", "%s", argsObj},
 }
 
-// MakeEntry builds an entry with a pre-rendered detail string (tests,
-// external tooling). Kernel-recorded entries come from Tracef and format
-// lazily instead.
-func MakeEntry(t Time, pid int, proc, event, detail string) Entry {
-	return Entry{T: t, PID: pid, Proc: proc, Event: event, format: "%s", args: []interface{}{detail}}
+// origin is what an entry shares with every other entry one process
+// records at one site: the process and the site. A trace keeps one per
+// (PID, site) pair, so entries point at it instead of copying names.
+// MakeEntry entries get their own, carrying the event and detail text.
+type origin struct {
+	pid    int
+	proc   string
+	site   Site
+	event  string
+	detail string // siteForeign only
 }
+
+var zeroOrigin origin
+
+// Entry is one recorded trace line: a flat 48-byte value that recording
+// fills without allocating. Object is the resource the call touched — an
+// object name, file path or signal target — and is empty for
+// park/sleep/exit/crash. The detail text is rendered from the recording
+// site's format only when Detail or String is called.
+type Entry struct {
+	T      Time
+	Object string
+	a, b   int64
+	src    *origin
+}
+
+// MakeEntry builds an entry from a pre-rendered detail string (tests,
+// external tooling). Its Object is parsed from the detail once, here: the
+// last space-separated field with any "target=" prefix stripped.
+func MakeEntry(t Time, pid int, proc, event, detail string) Entry {
+	obj := detail[strings.LastIndexByte(detail, ' ')+1:]
+	return Entry{
+		T:      t,
+		Object: strings.TrimPrefix(obj, "target="),
+		src:    &origin{pid: pid, proc: proc, site: siteForeign, event: event, detail: detail},
+	}
+}
+
+func (e Entry) from() *origin {
+	if e.src == nil {
+		return &zeroOrigin
+	}
+	return e.src
+}
+
+// PID reports the recording process's id (0 for kernel context).
+func (e Entry) PID() int { return e.from().pid }
+
+// Proc reports the recording process's name.
+func (e Entry) Proc() string { return e.from().proc }
+
+// Event reports the entry's event name ("flock", "sleep", ...).
+func (e Entry) Event() string { return e.from().event }
 
 // Detail renders the entry's detail text.
 func (e Entry) Detail() string {
-	if len(e.args) == 0 && !strings.ContainsRune(e.format, '%') {
-		return e.format
+	o := e.from()
+	s := sites[o.site]
+	switch s.args {
+	case argsObj:
+		return fmt.Sprintf(s.format, e.Object)
+	case argsIntObj:
+		return fmt.Sprintf(s.format, e.a, e.Object)
+	case argsDurDur:
+		return fmt.Sprintf(s.format, Duration(e.a), Duration(e.b))
 	}
-	// Formats with verbs (or %% escapes) go through fmt even with no args,
-	// so they render exactly as eager Sprintf did.
-	return fmt.Sprintf(e.format, e.args...)
-}
-
-// ResourceHint returns the entry's final string argument without rendering
-// the detail — for kernel-recorded events whose detail format ends in "%s"
-// (the convention for resource-touching syscalls: "flock", "setevent",
-// "kill"), that argument is the resource identity. Consumers that only
-// need to group entries by resource (internal/detect) use it to skip the
-// per-entry fmt.Sprintf that Detail would pay. ok is false when the entry
-// carries no trailing string argument.
-func (e Entry) ResourceHint() (hint string, ok bool) {
-	if len(e.args) == 0 || !strings.HasSuffix(e.format, "%s") {
-		return "", false
-	}
-	s, ok := e.args[len(e.args)-1].(string)
-	return s, ok
+	return o.detail
 }
 
 // String renders the entry in a compact single-line form.
 func (e Entry) String() string {
+	o := e.from()
 	if d := e.Detail(); d != "" {
-		return fmt.Sprintf("%12v  %s(%d)  %s: %s", e.T, e.Proc, e.PID, e.Event, d)
+		return fmt.Sprintf("%12v  %s(%d)  %s: %s", e.T, o.proc, o.pid, o.event, d)
 	}
-	return fmt.Sprintf("%12v  %s(%d)  %s", e.T, e.Proc, e.PID, e.Event)
+	return fmt.Sprintf("%12v  %s(%d)  %s", e.T, o.proc, o.pid, o.event)
 }
 
-// Trace records kernel events for debugging and for rendering the paper's
-// proof-of-concept figures. A zero-capacity trace keeps everything.
+// Trace records kernel events for debugging, for rendering the paper's
+// proof-of-concept figures and for the detector. A zero-capacity trace
+// keeps everything.
 type Trace struct {
 	cap     int
 	entries []Entry
 	dropped int
+	// origins maps a PID to its process's origin per site. A row is
+	// replaced, never mutated, when its PID starts naming another process
+	// (one trace attached across kernel runs): older entries keep theirs.
+	origins []*[numSites]origin
 }
 
 // NewTrace returns a recorder keeping at most capacity entries
@@ -72,12 +162,33 @@ func NewTrace(capacity int) *Trace {
 	return &Trace{cap: capacity}
 }
 
-func (t *Trace) add(e Entry) {
+func (t *Trace) record(now Time, p *Proc, s Site, obj string, a, b int64) {
 	if t.cap > 0 && len(t.entries) >= t.cap {
 		t.dropped++
 		return
 	}
-	t.entries = append(t.entries, e)
+	t.entries = append(t.entries, Entry{T: now, Object: obj, a: a, b: b, src: t.origin(p, s)})
+}
+
+// origin returns p's shared origin for site s, building p's row on its
+// first entry.
+func (t *Trace) origin(p *Proc, s Site) *origin {
+	pid, name := 0, ""
+	if p != nil {
+		pid, name = p.id, p.name
+	}
+	if pid >= len(t.origins) {
+		t.origins = append(t.origins, make([]*[numSites]origin, pid+1-len(t.origins))...)
+	}
+	row := t.origins[pid]
+	if row == nil || row[0].proc != name {
+		row = new([numSites]origin)
+		for i := range row {
+			row[i] = origin{pid: pid, proc: name, site: Site(i), event: sites[i].event}
+		}
+		t.origins[pid] = row
+	}
+	return &row[s]
 }
 
 // Entries returns the recorded entries in order.
@@ -97,7 +208,7 @@ func (t *Trace) Filter(events ...string) []Entry {
 	}
 	var out []Entry
 	for _, e := range t.entries {
-		if want[e.Event] {
+		if want[e.Event()] {
 			out = append(out, e)
 		}
 	}

@@ -5,6 +5,8 @@ import (
 	"testing"
 
 	"mes"
+	"mes/internal/codec"
+	"mes/internal/sim"
 )
 
 func TestFacadeSendRoundTrip(t *testing.T) {
@@ -113,5 +115,41 @@ func TestTransmissionAllocBudget(t *testing.T) {
 	allocs := testing.AllocsPerRun(10, run)
 	if allocs > 6 {
 		t.Errorf("transmission allocations = %.1f per run, want ≤ 6 steady-state", allocs)
+	}
+}
+
+// TestTracedTransmissionAllocBudget bounds what tracing adds to a pooled
+// one-shot transmission: entries are flat values appended to the trace,
+// so a traced 1000-bit run may allocate at most 32 more times than the
+// same run untraced — the trace itself, its entry slice's doublings and
+// one origin row per process. Boxing per entry would cost thousands.
+func TestTracedTransmissionAllocBudget(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race instrumentation allocates per instrumented operation")
+	}
+	cfg := mes.Config{
+		Mechanism: mes.Event,
+		Scenario:  mes.Local(),
+		Payload:   codec.Random(sim.NewRNG(1), 1000),
+		Seed:      1,
+	}
+	measure := func(traced bool) float64 {
+		run := func() {
+			c := cfg
+			if traced {
+				c.Trace = sim.NewTrace(0)
+			}
+			if _, err := mes.Send(c); err != nil {
+				t.Fatal(err)
+			}
+		}
+		run() // warm the machine/link pools
+		return testing.AllocsPerRun(5, run)
+	}
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	untraced, traced := measure(false), measure(true)
+	t.Logf("allocations per run: untraced %.1f, traced %.1f", untraced, traced)
+	if extra := traced - untraced; extra > 32 {
+		t.Errorf("traced transmission allocations = %.1f, untraced %.1f: tracing adds %.1f, want ≤ 32", traced, untraced, extra)
 	}
 }
