@@ -57,15 +57,11 @@ lint:
 # in cmd/mesbench), both normalized by the machine's raw coroutine-switch
 # cost so slower runners don't false-alarm (mesbench -perfcheck; wall and
 # event-core gates are measured best-of-three and skipped for baselines
-# predating the needed rows). PR 9 adds the fast batch-on/off determinism
-# corner: a
-# quick figure sweep must render byte-identically with batched replay
-# windows enabled and disabled.
+# predating the needed rows).
 perf-smoke:
 	$(GO) test -count=1 -run 'TestKernelEventAllocsAmortizedZero' ./internal/sim
 	$(GO) test -count=1 -run 'TestTransmissionAllocBudget|TestTracedTransmissionAllocBudget' .
 	$(GO) test -count=1 -run 'TestSessionAllocsSteadyStateZero' ./internal/core
-	$(GO) test -count=1 -run 'TestQuickBatchDeterminism' ./internal/experiments
 	$(GO) run ./cmd/mesbench -perfcheck $(PERF_BASELINE)
 
 # Fault-matrix smoke (PR 10): the faultsweep experiment — fault rate ×

@@ -219,13 +219,10 @@ type benchResults struct {
 	SessionTrialNsPerOp    int64   `json:"session_trial_ns_per_op,omitempty"`
 	TrialAllocsSteadyState float64 `json:"trial_allocs_steady_state"`
 	RegistryQuickMs        float64 `json:"registry_quick_ms,omitempty"`
-	// mes-bench/v4: the fused-rendezvous/replay engine's structural
-	// numbers on the standard session workload — coroutine switches per
-	// transmitted symbol (the protocol's irreducible scheduling cost) and
-	// the fraction of symbol windows served from recorded event skeletons
-	// instead of the heap.
+	// mes-bench/v4: coroutine switches per transmitted symbol on the
+	// standard session workload (the protocol's irreducible scheduling
+	// cost). The replay_hit_rate key older v4/v5 files carry is ignored.
 	SwitchesPerBit float64 `json:"switches_per_bit,omitempty"`
-	ReplayHitRate  float64 `json:"replay_hit_rate,omitempty"`
 	// mes-bench/v5: one raw resume-layer round trip (sim.ResumeRoundTrips)
 	// — the kernel↔process handoff alone, no events, heap or timing. Its
 	// delta against context_switch_ns_per_op is the scheduler's own
@@ -244,9 +241,9 @@ type benchFile struct {
 
 // benchSchemas are the accepted measurement-file revisions: v2 added the
 // context-switch and detector rows, v3 the trial-session and quick-
-// registry rows, v4 the switches-per-bit and replay-hit-rate rows, v5
-// the raw resume round-trip row. Older files remain valid baselines —
-// their new-row columns read as zero ("not measured").
+// registry rows, v4 the switches-per-bit row, v5 the raw resume
+// round-trip row. Older files remain valid baselines — their new-row
+// columns read as zero ("not measured").
 var benchSchemas = map[string]bool{
 	"mes-bench/v1": true, "mes-bench/v2": true,
 	"mes-bench/v3": true, "mes-bench/v4": true,
@@ -255,6 +252,24 @@ var benchSchemas = map[string]bool{
 
 // benchSchema is the revision this binary writes.
 const benchSchema = "mes-bench/v5"
+
+// loadBaseline reads a checked-in measurement file and rejects anything
+// that is not one of the accepted mes-bench schemas. Keys a revision no
+// longer writes are ignored by encoding/json, so older files still load.
+func loadBaseline(file string) (benchFile, error) {
+	var base benchFile
+	raw, err := os.ReadFile(file)
+	if err != nil {
+		return base, err
+	}
+	if err := json.Unmarshal(raw, &base); err != nil {
+		return base, fmt.Errorf("parse baseline %s: %w", file, err)
+	}
+	if !benchSchemas[base.Schema] {
+		return base, fmt.Errorf("baseline %s: schema %q is not a mes-bench measurement file", file, base.Schema)
+	}
+	return base, nil
+}
 
 // writeBenchJSON runs the trajectory measurements and writes file. If
 // baseline names an earlier measurement file, its "after" snapshot is
@@ -266,16 +281,9 @@ func writeBenchJSON(file, baseline string) error {
 		GOMAXPROCS: runtime.GOMAXPROCS(0),
 	}
 	if baseline != "" {
-		raw, err := os.ReadFile(baseline)
+		base, err := loadBaseline(baseline)
 		if err != nil {
 			return err
-		}
-		var base benchFile
-		if err := json.Unmarshal(raw, &base); err != nil {
-			return fmt.Errorf("parse baseline %s: %w", baseline, err)
-		}
-		if !benchSchemas[base.Schema] {
-			return fmt.Errorf("baseline %s: schema %q is not a mes-bench measurement file", baseline, base.Schema)
 		}
 		out.Before = &base.After
 	}
@@ -353,13 +361,13 @@ func writeBenchJSON(file, baseline string) error {
 	}
 	out.After.SessionTrialNsPerOp, out.After.TrialAllocsSteadyState = sessNs, sessAllocs
 
-	// The protocol's structural numbers: coroutine switches per symbol and
-	// the replay engine's skeleton hit rate on the same session workload.
-	spb, hit, err := measureSessionProtocol()
+	// The protocol's structural number: coroutine switches per symbol on
+	// the same session workload.
+	spb, err := measureSessionProtocol()
 	if err != nil {
 		return err
 	}
-	out.After.SwitchesPerBit, out.After.ReplayHitRate = spb, hit
+	out.After.SwitchesPerBit = spb
 
 	// The Fig. 9 sweep (42 independent transmissions) at one worker and at
 	// GOMAXPROCS workers: the registry-level wall-clock the parallel runner
@@ -399,12 +407,12 @@ func writeBenchJSON(file, baseline string) error {
 	if err := os.WriteFile(file, raw, 0o644); err != nil {
 		return err
 	}
-	fmt.Printf("wrote %s: %.0f events/s, %.2f allocs/event, switch %.0fns, resume %.0fns, transmission %dns/%d allocs, session trial %dns/%.0f allocs, %.2f switches/bit, replay hit %.2f, detect %.0f entries/s, fig9 %0.0fms (w=1) / %0.0fms (w=%d), registry quick %.0fms\n",
+	fmt.Printf("wrote %s: %.0f events/s, %.2f allocs/event, switch %.0fns, resume %.0fns, transmission %dns/%d allocs, session trial %dns/%.0f allocs, %.2f switches/bit, detect %.0f entries/s, fig9 %0.0fms (w=1) / %0.0fms (w=%d), registry quick %.0fms\n",
 		file, out.After.KernelEventsPerSec, out.After.KernelAllocsPerEvent,
 		out.After.ContextSwitchNsPerOp, out.After.ResumeNsPerOp,
 		out.After.TransmissionNsPerOp, out.After.TransmissionAllocsPerOp,
 		out.After.SessionTrialNsPerOp, out.After.TrialAllocsSteadyState,
-		out.After.SwitchesPerBit, out.After.ReplayHitRate,
+		out.After.SwitchesPerBit,
 		out.After.DetectEntriesPerSec,
 		out.After.Fig9Workers1Ms, out.After.Fig9WorkersNMs, runtime.GOMAXPROCS(0),
 		out.After.RegistryQuickMs)
@@ -501,37 +509,34 @@ func measureSessionTrial(timed bool) (nsPerOp int64, allocsPerTrial float64, err
 
 // measureSessionProtocol reads the session's cumulative kernel counters
 // across a batch of steady-state trials on the standard benchmark
-// workload: coroutine switches per transmitted symbol and the replay
-// engine's skeleton hit rate. The first trial is excluded so spawn-time
-// switches and the replay warm-up window do not dilute the steady-state
-// numbers. The deltas rely on Session.KernelStats being monotonic: the
+// workload: coroutine switches per transmitted symbol. The first trial
+// is excluded so spawn-time switches do not dilute the steady-state
+// number. The deltas rely on Session.KernelStats being monotonic: the
 // session folds counters into an accumulator before a deadlocked trial's
 // recovery clears them (and anchors a pooled machine's foreign history
 // at acquisition), so a mid-batch machine release can no longer make the
 // second read smaller and wrap these uint64 subtractions to ~1.8e19.
-func measureSessionProtocol() (switchesPerBit, replayHitRate float64, err error) {
+func measureSessionProtocol() (float64, error) {
 	s, err := core.NewSession(core.BenchConfig())
 	if err != nil {
-		return 0, 0, err
+		return 0, err
 	}
 	defer s.Close()
 	if _, err := s.Run(runner.TrialSeed(1, 1)); err != nil {
-		return 0, 0, err
+		return 0, err
 	}
-	sw0, rep0, bits0 := s.KernelStats()
+	sw0, _, bits0 := s.KernelStats()
 	const trials = 50
 	for i := 2; i < 2+trials; i++ {
 		if _, err := s.Run(runner.TrialSeed(1, i)); err != nil {
-			return 0, 0, err
+			return 0, err
 		}
 	}
-	sw1, rep1, bits1 := s.KernelStats()
+	sw1, _, bits1 := s.KernelStats()
 	if bits1 == bits0 {
-		return 0, 0, fmt.Errorf("session protocol measurement saw no symbol windows")
+		return 0, fmt.Errorf("session protocol measurement saw no symbol windows")
 	}
-	switchesPerBit = float64(sw1-sw0) / float64(bits1-bits0)
-	replayHitRate = float64(rep1-rep0) / float64(bits1-bits0)
-	return switchesPerBit, replayHitRate, nil
+	return float64(sw1-sw0) / float64(bits1-bits0), nil
 }
 
 // measureRegistryQuick renders every registry experiment in Quick mode
@@ -609,16 +614,9 @@ const (
 // context-switch row needed to normalize. `make perf-smoke` runs this in
 // CI.
 func runPerfCheck(file string) error {
-	raw, err := os.ReadFile(file)
+	base, err := loadBaseline(file)
 	if err != nil {
 		return err
-	}
-	var base benchFile
-	if err := json.Unmarshal(raw, &base); err != nil {
-		return fmt.Errorf("parse baseline %s: %w", file, err)
-	}
-	if !benchSchemas[base.Schema] {
-		return fmt.Errorf("baseline %s: schema %q is not a mes-bench measurement file", file, base.Schema)
 	}
 	_, allocs, err := measureSessionTrial(false)
 	if err != nil {

@@ -104,3 +104,19 @@ func TestBenchSchemaAcceptsOlderBaselines(t *testing.T) {
 		t.Error("unknown schemas must be rejected")
 	}
 }
+
+// TestLoadCheckedInBaseline: the measurement file `make perf-smoke`
+// gates against must load as a baseline, including keys (replay_hit_rate)
+// that this binary no longer writes.
+func TestLoadCheckedInBaseline(t *testing.T) {
+	base, err := loadBaseline("../../BENCH_PR10.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if base.After.RegistryQuickMs <= 0 || base.After.KernelNsPerEvent <= 0 || base.After.ContextSwitchNsPerOp <= 0 {
+		t.Errorf("BENCH_PR10.json lost the rows -perfcheck gates on: %+v", base.After)
+	}
+	if base.After.SwitchesPerBit <= 0 {
+		t.Errorf("switches_per_bit did not load: %v", base.After.SwitchesPerBit)
+	}
+}

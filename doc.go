@@ -127,34 +127,11 @@
 //     no float pipeline at all. The jitter bytes come from a dedicated
 //     splitmix64 substream with its own gamma, drawn through a pre-filled
 //     512-byte deviate plane embedded in the RNG (refilled in bulk,
-//     Reseed-cleared, zero allocations); disabling the plane
-//     (sim.SetJitterPlane) changes buffering, not bytes, and the main
-//     value stream never moves when timing code adds or removes jitter
-//     draws.
-//   - The rendezvous wake — the one event behind every protocol symbol —
-//     bypasses the heap entirely (PR 8): Proc.WakeFused delivers it
-//     through a kernel one-slot buffer (sim.SetFusedRendezvous), falling
-//     back to the heap whenever the slot is occupied, and steady-state
-//     session trials record each symbol window's event skeleton on first
-//     sight and replay it afterwards (sim.SetReplay) — pushes land in a
-//     six-slot ring, pops verify against the recorded op stream, and the
-//     heap's push/pop/sift work disappears from 75–99% of symbol windows
-//     (BENCH_PR8.json's replay_hit_rate; skeletons are keyed by the
-//     (previous, current) symbol pair because a window carries the
-//     receiver's tail of the prior symbol).
-//   - Symbol windows whose skeleton has already survived one fully
-//     verified live replay run batched (sim.SetBatch, PR 9): a window's
-//     key is marked prevalidated on its first clean close, and later
-//     windows on that key skip the per-op shape comparison — each push
-//     and pop advances the skeleton cursor on a count-only bound check.
-//     Batching is strictly an eligibility layer over replay: it never
-//     arms where replay would not — traced kernels and multi-process
-//     spawns never arm, a spawn mid-run disarms the whole engine for the
-//     rest of the trial, and Step-driven kernels (never hosting) stay on
-//     the verified path — and any op past the prevalidated window's
-//     recorded count bails exactly that one window: the bail revokes the
-//     key's prevalidation, drains the ring back into the heap, and the
-//     next mark re-verifies live before the key can batch again.
+//     Reseed-cleared, zero allocations), and the main value stream
+//     never moves when timing code adds or removes jitter draws.
+//   - The event core is a single value-typed 4-ary heap: every dispatch
+//     and wake, the rendezvous wake behind each protocol symbol included,
+//     is pushed and popped through it.
 //   - Traced runs record typed, flat entries. A sim.Entry is a 48-byte
 //     value: the time, Object (the resource the call touched — object
 //     name, file path or signal target), two int64 argument slots and a
@@ -174,24 +151,12 @@
 // total order on (time, sequence): the hand-rolled heap pops the same
 // sequence as the reference heap, the inline fast path and the migrating
 // host loop only ever run the event the queue would have popped next
-// (ties always go through the queue, preserving FIFO), fused and ring
-// events take their sequence numbers from the same counter as heap
-// events and every pop serves the exact (at, seq) minimum across heap,
-// fused slot and ring — the replay skeleton only gates *eligibility* for
-// the side path, never ordering — and a reset machine — sessions
-// included — is indistinguishable from a fresh one. The replay engine
-// bows out rather than approximate: traced kernels and multi-process
-// spawns never arm, a spawn mid-run disarms the engine for the rest of
-// the trial, and any deviation from the recorded skeleton (an intruding
-// third event, a jitter-flipped ordering) drains the ring back into the
-// heap and poisons only the current window — the next symbol mark
-// resumes matching; a batched window holds itself to the same rule, with
-// the deviation detected by the cursor bound instead of the shape
-// compare. The registry tests assert byte-identical output across the
-// full cube of worker counts × machine pooling × trial sessions × jitter
-// plane × fused wakes × replay × batching, and core.Session-level tests
-// pin per-trial equality with the one-shot path, including across
-// mid-session deadlocks.
+// (ties always go through the queue, preserving FIFO), and a reset
+// machine — sessions included — is indistinguishable from a fresh one.
+// The registry tests assert byte-identical output across the cube of
+// worker counts × machine pooling × trial sessions, and
+// core.Session-level tests pin per-trial equality with the one-shot
+// path, including across mid-session deadlocks.
 //
 // PR 7 before → after on the 1-core reference container (BENCH_PR7.json):
 //
@@ -268,6 +233,11 @@
 // (multi-symbol bodies that batch protocol work between yields), not a
 // cheaper transfer.
 //
+// The fused-wake, per-bit replay and symbol-batching engine described
+// above was later deleted: measured end to end by bench/, the plain heap
+// path was at least as fast on every workload (faster on the two session
+// workloads) with identical switch and symbol-window counts.
+//
 // Typed trace records, before → after on the 2-vCPU benchmark VM
 // (`sh bench/run.sh --workload traced-detect --seed 1 --seconds 25
 // --trace 0`: one op is a traced one-shot 1000-bit transmission over
@@ -292,7 +262,7 @@
 // evidence lives as comments at each seed). Statistical correctness is
 // pinned by moment, chi-square-vs-erf and tail-mass tests at fixed seeds
 // (internal/sim/rng_test.go), and byte-identity is re-proven across the
-// session × pooling × workers × plane cube.
+// session × pooling × workers cube.
 //
 // Use core.Session / RunTrials (facade: NewSession, SendTrials) when
 // replaying one mechanism+scenario substrate many times — Monte-Carlo
@@ -315,9 +285,8 @@
 // perf-smoke`, which since PR 7 also enforces absolute machine-normalized
 // floors (raised by PR 8 to 7.5M events/s and a 125ms quick registry;
 // held there by PR 9, whose noisier container cleared nothing higher)
-// plus, since PR 9, the fast batch-on/off determinism corner, (since
-// schema v4) the coroutine switches per transmitted symbol and the
-// replay engine's skeleton hit rate, and (since schema v5) the bare
+// plus (since schema v4) the coroutine switches per transmitted symbol
+// and (since schema v5) the bare
 // resume round trip, resume_ns — its delta against the context-switch
 // row is the scheduler's own per-switch overhead. Trajectory so far on
 // this container: kernel 0.89M → 2.17M (PR 2) → 5.65M (PR 3) → 7.18M
@@ -342,13 +311,10 @@
 // word to pick the class — for a sleep, crash the sleeper, spurious
 // early wakeup, or a preemption burst of 1–8 scheduler quanta; for a
 // wake, crash the parked wakee, lose the wake, or delay it 1–8 quanta.
-// The determinism rule is the same one the jitter plane obeys: the
-// substream is drawn at call time, before the engine decides whether an
-// event rides the heap, the fused slot or the replay ring, so the
-// injected fault schedule is a pure function of (config, seed,
-// faultSeed) — byte-identical across worker counts, pooling, sessions
-// and every event-path toggle, and faultrate=0 never draws a word at
-// all (byte-identical to a kernel without the plane). Crashed processes
+// The substream is drawn at call time, so the injected fault schedule
+// is a pure function of (config, seed, faultSeed) — byte-identical
+// across worker counts, pooling and sessions — and faultrate=0 never
+// draws a word at all (byte-identical to a kernel without the plane). Crashed processes
 // unwind through their deferred functions, which carry the OS model's
 // wait-queue hooks: a corpse is dequeued from whatever kobj/vfs wait
 // queue it blocked in, so a later grant (a signal, an unlock handoff, a
@@ -375,7 +341,8 @@
 // conformance test pins the headline result — BER degrades monotonically
 // with fault rate for every mechanism, and recovery-on strictly
 // dominates recovery-off at nonzero rates — and the engine-cube test
-// pins the fault matrix byte-identical across all the toggles above.
+// pins the fault matrix byte-identical across worker counts, machine
+// pooling and trial sessions.
 // cmd/mesbench exposes the axis as -faultrate/-faultseed.
 //
 // # Invariants
@@ -386,15 +353,10 @@
 // of the runtime tests that pin them:
 //
 //   - Determinism: simulation output is a pure function of the config
-//     and seed — byte-identical across worker counts, machine pooling,
-//     trial sessions and every event-path toggle (jitter plane, fused
-//     wakes, replay, batched windows) — including the fault axis: the
-//     fault substream is drawn at call time, and because an injected
-//     deviation keeps the recorded event shape (only times move), every
-//     injection explicitly bails the open replay window and a crash
-//     disarms the engine for the rest of the run, so replayed and
-//     batched windows never run across an injected fault. The
-//     detnondet analyzer forbids wall-clock
+//     and seed — byte-identical across worker counts, machine pooling
+//     and trial sessions — including the fault axis: the fault
+//     substream is drawn at call time. The detnondet analyzer forbids
+//     wall-clock
 //     reads (time.Now/Since/Until), math/rand and map-order-dependent
 //     ranges in every package that feeds simulation output. Tracing
 //     cannot perturb untraced runs by construction: Kernel.Record takes

@@ -124,87 +124,9 @@ func (r *prng) quantLookup() float64 {
 	return quantTable[v]
 }
 
-// Mirrors of the PR 8 fused-rendezvous and replay hot shapes: a one-slot
-// buffer store, a free-slot scan over a bit mask, and a recorded-skeleton
-// verify are all allocation-free constructs and must pass the analyzer
-// silently. (bits.TrailingZeros8 is mirrored with a local helper so the
-// fixture stays import-free beyond fmt.)
-
-type slotEvent struct {
-	at   int64
-	seq  uint64
-	kind uint8
-}
-
-type slotKernel struct {
-	fused    slotEvent
-	hasFused bool
-	ring     [6]slotEvent
-	ringMask uint8
-	skel     [16][]uint8
-	rpos     int
-}
-
-func trailing8(m uint8) int {
-	n := 0
-	for m&1 == 0 {
-		m >>= 1
-		n++
-	}
-	return n
-}
-
-// fusedStore mirrors Proc.WakeFused: a value store into a struct-typed
-// one-slot buffer plus a flag flip, no escapes.
-//
-//mes:allocfree
-func (k *slotKernel) fusedStore(at int64, seq uint64) bool {
-	if k.hasFused {
-		return false
-	}
-	k.fused = slotEvent{at: at, seq: seq, kind: 2}
-	k.hasFused = true
-	return true
-}
-
-// ringPlace mirrors replayScheduled's free-slot scan: complementing the
-// occupancy mask and indexing the inline array allocates nothing.
-//
-//mes:allocfree
-func (k *slotKernel) ringPlace(e slotEvent) bool {
-	free := ^k.ringMask & (1<<6 - 1)
-	if free == 0 {
-		return false
-	}
-	i := trailing8(free)
-	k.ring[i] = e
-	k.ringMask |= 1 << i
-	return true
-}
-
-// skelVerify mirrors replayNotePush's record/verify split: appending to a
-// pre-grown skeleton slice and comparing against the recorded op are both
-// on the steady-state path (append's amortized growth is retired by the
-// warm-up window).
-//
-//mes:allocfree
-func (k *slotKernel) skelVerify(key int, kind uint8, record bool) bool {
-	if record {
-		k.skel[key] = append(k.skel[key], kind)
-		return true
-	}
-	if k.rpos >= len(k.skel[key]) || k.skel[key][k.rpos] != kind {
-		return false
-	}
-	k.rpos++
-	return true
-}
-
-// Mirrors of the PR 9 resume and batch hot shapes: the coroutine handle's
-// transfer calls (stored func values invoked through a field — method
-// values and pre-bound closures stored before the hot path starts are
-// not per-call closures) and the batched window's count-only cursor
-// check.
+// Mirror of the coroutine handle's transfer calls: stored func values
+// invoked through a field — method values and pre-bound closures stored
+// before the hot path starts are not per-call closures.
 
 type resumeHandle struct {
 	next  func() (struct{}, bool)
@@ -220,19 +142,6 @@ type resumeHandle struct {
 func (h *resumeHandle) transferRound() bool {
 	h.next()
 	return h.yield(struct{}{})
-}
-
-// batchVerify mirrors replayScheduled's replayBatch arm: a prevalidated
-// window advances the skeleton cursor on a bound check alone — no
-// per-op shape compare, no escapes.
-//
-//mes:allocfree
-func (k *slotKernel) batchVerify(key int) bool {
-	if k.rpos >= len(k.skel[key]) {
-		return false
-	}
-	k.rpos++
-	return true
 }
 
 // Mirrors of the PR 10 fault-plane hot shapes: the per-consult substream

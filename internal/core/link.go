@@ -234,9 +234,9 @@ func (l *link) runTrojan(p *osmodel.Proc) {
 		return
 	}
 	for _, sym := range l.syms {
-		// Window boundary for the kernel's per-bit replay engine: every
-		// event between here and the next mark belongs to sym's skeleton.
-		p.MarkBit(sym)
+		// Symbol-window boundary: the kernel counts windows for the
+		// switches-per-bit trajectory row.
+		p.MarkBit()
 		if l.rv != nil {
 			if !l.rv.ArriveLead(p) {
 				continue // round lost to a timeout; the spy logs a sentinel

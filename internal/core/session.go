@@ -71,16 +71,14 @@ type Session struct {
 // kernel counters.
 type kernelCounters struct {
 	switches uint64
-	replayed uint64
-	total    uint64
+	windows  uint64
 }
 
 // kernelCounters snapshots the pinned machine's raw counters. The caller
 // must hold a machine (s.sys != nil).
 func (s *Session) kernelCounters() kernelCounters {
 	k := s.sys.Kernel()
-	replayed, total := k.ReplayStats()
-	return kernelCounters{switches: k.Switches(), replayed: replayed, total: total}
+	return kernelCounters{switches: k.Switches(), windows: k.Windows()}
 }
 
 // releaseMachine is the deadlocked-trial recovery path: when a trial's
@@ -105,8 +103,7 @@ func (s *Session) releaseMachine() {
 func (s *Session) retireKernelCounters() {
 	cur := s.kernelCounters()
 	s.statsAcc.switches += cur.switches - s.statsOff.switches
-	s.statsAcc.replayed += cur.replayed - s.statsOff.replayed
-	s.statsAcc.total += cur.total - s.statsOff.total
+	s.statsAcc.windows += cur.windows - s.statsOff.windows
 	s.statsOff = kernelCounters{}
 }
 
@@ -189,11 +186,6 @@ func (s *Session) RunConfig(cfg Config) (*Result, error) {
 		// the next trial's Reset restores it.
 		return nil, err
 	}
-	// Arm per-bit replay — and with it symbol batching on prevalidated
-	// windows — for the run: the kernel itself bows out for traced or
-	// multi-process configurations (and batching additionally requires
-	// the Run-driven dispatcher), so arming is unconditional.
-	s.sys.ArmReplay()
 	if cfg.Recover {
 		wp, wpat := l.watchdog()
 		s.sys.ArmWatchdog(wp, wpat)
@@ -245,23 +237,24 @@ func (s *Session) RunConfig(cfg Config) (*Result, error) {
 }
 
 // KernelStats reports the session's cumulative kernel counters —
-// coroutine switches into process bodies, symbol windows served by the
-// replay fast path, and symbol windows marked in total. The counters are
-// monotonic for the lifetime of the session: they survive the pinned
-// machine being Released after a deadlocked trial (which clears the raw
-// kernel counters) and exclude any history a pool-acquired machine
-// arrived with. The bench harness depends on that monotonicity — it
-// derives switches-per-bit and the replay hit rate from uint64 deltas
-// between two reads, which would wrap to ~1.8e19 if a counter ever moved
+// coroutine switches into process bodies and symbol windows marked.
+// replayedBits is always 0: the kernel has no replay fast path, and the
+// result is kept so existing callers' three-value reads still compile.
+// The counters are monotonic for the lifetime of the session: they
+// survive the pinned machine being Released after a deadlocked trial
+// (which clears the raw kernel counters) and exclude any history a
+// pool-acquired machine arrived with. The bench harness depends on that
+// monotonicity — it derives switches-per-bit from uint64 deltas between
+// two reads, which would wrap to ~1.8e19 if a counter ever moved
 // backwards. All zero before the first trial acquires a machine.
 func (s *Session) KernelStats() (switches, replayedBits, totalBits uint64) {
-	if s.sys == nil {
-		return s.statsAcc.switches, s.statsAcc.replayed, s.statsAcc.total
+	acc := s.statsAcc
+	if s.sys != nil {
+		cur := s.kernelCounters()
+		acc.switches += cur.switches - s.statsOff.switches
+		acc.windows += cur.windows - s.statsOff.windows
 	}
-	cur := s.kernelCounters()
-	return s.statsAcc.switches + cur.switches - s.statsOff.switches,
-		s.statsAcc.replayed + cur.replayed - s.statsOff.replayed,
-		s.statsAcc.total + cur.total - s.statsOff.total
+	return acc.switches, 0, acc.windows
 }
 
 // Close returns the session's machine to the shared pool (or releases it

@@ -7,7 +7,6 @@ import (
 	"testing"
 
 	"mes/internal/core"
-	"mes/internal/sim"
 )
 
 // TestFaultSweepMonotoneAndDominance is the robustness extension's
@@ -84,56 +83,35 @@ func TestFaultSweepMonotoneAndDominance(t *testing.T) {
 
 // TestFaultSweepDeterministicAcrossEngines pins the fault substream's
 // central contract at the sweep level: the rendered fault matrix — whose
-// nonzero-rate cells actively inject faults, bail replay windows and
-// crash processes — is byte-identical across worker counts, pooled vs
-// fresh machines, trial sessions vs one-shot runs, and the fused/replay/
-// batch engine toggles. Faults are drawn from a call-time substream, so
-// the schedule must not depend on how events are stored or which worker
-// runs the cell.
+// nonzero-rate cells actively inject faults and crash processes — is
+// byte-identical in every corner of engineCorners (worker counts, pooled
+// vs fresh machines, trial sessions vs one-shot runs). Faults are drawn
+// from a call-time substream, so the schedule must not depend on which
+// machine or worker runs the cell.
 func TestFaultSweepDeterministicAcrossEngines(t *testing.T) {
 	if testing.Short() {
 		t.Skip("fault-matrix engine cube in -short mode")
 	}
-	render := func(reuse, sessions bool, workers int, fused, replay, batch bool) string {
-		core.SetSystemReuse(reuse)
-		core.SetTrialSessions(sessions)
-		sim.SetFusedRendezvous(fused)
-		sim.SetReplay(replay)
-		sim.SetBatch(batch)
-		defer core.SetSystemReuse(true)
-		defer core.SetTrialSessions(true)
-		defer sim.SetFusedRendezvous(true)
-		defer sim.SetReplay(true)
-		defer sim.SetBatch(true)
-		resetSweepCaches()
-		rows, err := FaultSweep(Options{Quick: true, Seed: 1, Workers: workers})
-		if err != nil {
-			t.Fatalf("FaultSweep (reuse=%v sessions=%v workers=%d fused=%v replay=%v batch=%v): %v",
-				reuse, sessions, workers, fused, replay, batch, err)
+	var base string
+	for i, c := range engineCorners {
+		got := withEngine(c.reuse, c.sessions, func() string {
+			rows, err := FaultSweep(Options{Quick: true, Seed: 1, Workers: c.workers})
+			if err != nil {
+				t.Fatalf("FaultSweep (reuse=%v sessions=%v workers=%d): %v",
+					c.reuse, c.sessions, c.workers, err)
+			}
+			return RenderFaultSweep(rows)
+		})
+		if i == 0 {
+			base = got
+			if !strings.Contains(base, "fault injection") {
+				t.Fatal("fault sweep rendered no matrix")
+			}
+			continue
 		}
-		return RenderFaultSweep(rows)
-	}
-	base := render(false, false, 1, false, false, false)
-	if !strings.Contains(base, "fault injection") {
-		t.Fatal("fault sweep rendered no matrix")
-	}
-	for _, c := range []struct {
-		reuse    bool
-		sessions bool
-		workers  int
-		fused    bool
-		replay   bool
-		batch    bool
-	}{
-		{true, true, 8, true, true, true},
-		{true, true, 1, true, true, true},
-		{false, true, 8, true, true, true},
-		{true, false, 8, false, false, false},
-		{true, true, 8, true, false, false},
-	} {
-		if got := render(c.reuse, c.sessions, c.workers, c.fused, c.replay, c.batch); got != base {
-			t.Errorf("fault matrix diverged with reuse=%v sessions=%v workers=%d fused=%v replay=%v batch=%v",
-				c.reuse, c.sessions, c.workers, c.fused, c.replay, c.batch)
+		if got != base {
+			t.Errorf("fault matrix diverged with reuse=%v sessions=%v workers=%d",
+				c.reuse, c.sessions, c.workers)
 		}
 	}
 }

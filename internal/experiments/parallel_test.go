@@ -7,7 +7,6 @@ import (
 	"testing"
 
 	"mes/internal/core"
-	"mes/internal/sim"
 )
 
 // TestSweepsDeterministicAcrossWorkers is the runner's central contract at
@@ -108,119 +107,72 @@ func TestRegistryCachesSharedSweeps(t *testing.T) {
 	}
 }
 
+// engineCorners is the determinism cube the registry and fault-sweep
+// tests compare: every combination of machine pooling
+// (core.SetSystemReuse), worker-affine trial sessions versus one-shot
+// runs (core.SetTrialSessions) and serial versus parallel sweeps. The
+// first corner — fresh machines, one-shot runs, serial — is the base the
+// others must match byte for byte.
+var engineCorners = []struct {
+	reuse, sessions bool
+	workers         int
+}{
+	{false, false, 1}, {false, false, 8},
+	{false, true, 1}, {false, true, 8},
+	{true, false, 1}, {true, false, 8},
+	{true, true, 1}, {true, true, 8},
+}
+
+// withEngine runs render under one corner of engineCorners with cold
+// sweep caches, restoring the production defaults afterwards.
+func withEngine(reuse, sessions bool, render func() string) string {
+	core.SetSystemReuse(reuse)
+	core.SetTrialSessions(sessions)
+	defer core.SetSystemReuse(true)
+	defer core.SetTrialSessions(true)
+	resetSweepCaches()
+	return render()
+}
+
 // TestRegistryDeterministicAcrossPoolingAndWorkers is the pooled-kernel
 // and trial-session contract at the registry level: the full registry
-// renders byte-identical output whether sweep cells run on one worker or
-// eight, whether each transmission builds a fresh simulated machine or
-// recycles one from the pool (core.SetSystemReuse), whether cells run
-// through worker-affine trial sessions or the one-shot Run path
-// (core.SetTrialSessions), whether — PR 8 — wakes ride the kernel's
-// fused one-slot buffer (sim.SetFusedRendezvous) and steady-state trials
-// replay recorded per-bit event skeletons (sim.SetReplay), and — PR 9 —
-// whether prevalidated replay windows run batched with count-only
-// verification (sim.SetBatch). The sweep cache is reset between
-// renderings so every configuration really recomputes.
+// renders byte-identical output in every corner of engineCorners. The
+// sweep cache is reset between renderings so every configuration really
+// recomputes.
 func TestRegistryDeterministicAcrossPoolingAndWorkers(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full registry sweep in -short mode")
 	}
-	render := func(reuse, sessions bool, workers int, plane, fused, replay, batch bool) string {
-		core.SetSystemReuse(reuse)
-		core.SetTrialSessions(sessions)
-		sim.SetJitterPlane(plane)
-		sim.SetFusedRendezvous(fused)
-		sim.SetReplay(replay)
-		sim.SetBatch(batch)
-		defer core.SetSystemReuse(true)
-		defer core.SetTrialSessions(true)
-		defer sim.SetJitterPlane(true)
-		defer sim.SetFusedRendezvous(true)
-		defer sim.SetReplay(true)
-		defer sim.SetBatch(true)
-		resetSweepCaches()
-		var b strings.Builder
-		for _, e := range Registry() {
-			out, err := e.Run(Options{Quick: true, Seed: 9, Workers: workers})
-			if err != nil {
-				t.Fatalf("%s (reuse=%v sessions=%v workers=%d fused=%v replay=%v batch=%v): %v",
-					e.Name, reuse, sessions, workers, fused, replay, batch, err)
+	var base string
+	for i, c := range engineCorners {
+		got := withEngine(c.reuse, c.sessions, func() string {
+			var b strings.Builder
+			for _, e := range Registry() {
+				out, err := e.Run(Options{Quick: true, Seed: 9, Workers: c.workers})
+				if err != nil {
+					t.Fatalf("%s (reuse=%v sessions=%v workers=%d): %v",
+						e.Name, c.reuse, c.sessions, c.workers, err)
+				}
+				b.WriteString(e.Name)
+				b.WriteByte('\n')
+				b.WriteString(out)
 			}
-			b.WriteString(e.Name)
-			b.WriteByte('\n')
-			b.WriteString(out)
+			return b.String()
+		})
+		if i == 0 {
+			base = got
+			// The registry sweep must include the crossmech extension
+			// experiment — the determinism contract covers the full
+			// mechanism family, not just the paper's six.
+			if !strings.Contains(base, "crossmech") || !strings.Contains(base, "WriteSync*") {
+				t.Error("registry rendering is missing the crossmech family sweep")
+			}
+			continue
 		}
-		return b.String()
-	}
-	// The base corner disables every optimisation layer at once: fresh
-	// machines, one-shot runs, serial, heap-delivered wakes, no replay,
-	// no batching.
-	base := render(false, false, 1, true, false, false, false)
-	// The registry sweep must include the crossmech extension experiment —
-	// the determinism contract covers the full mechanism family, not just
-	// the paper's six.
-	if !strings.Contains(base, "crossmech") || !strings.Contains(base, "WriteSync*") {
-		t.Error("registry rendering is missing the crossmech family sweep")
-	}
-	for _, c := range []struct {
-		reuse    bool
-		sessions bool
-		workers  int
-		plane    bool
-		fused    bool
-		replay   bool
-		batch    bool
-	}{
-		{false, false, 8, true, true, true, true},
-		{false, true, 1, true, true, true, true}, {false, true, 8, true, true, true, true},
-		{true, false, 1, true, true, true, true}, {true, false, 8, true, true, true, true},
-		{true, true, 1, true, true, true, true}, {true, true, 8, true, true, true, true},
-		// Plane off: the jitter substream refills its deviate buffer in
-		// 8-byte rather than 512-byte chunks, which must serve the exact
-		// same byte sequence — the batched plane is a pure buffering
-		// optimisation, invisible to every consumer (PR 7). Two corners of
-		// the cube suffice: the fully pooled parallel-session path and the
-		// fully fresh serial path.
-		{true, true, 8, false, true, true, true},
-		{false, false, 1, false, false, false, false},
-		// Fused, replay and batch move independently: each alone against
-		// the production defaults of everything else, and all off on the
-		// fully pooled parallel path — events delivered via the one-slot
-		// buffer or the replay ring must fire at the same (at, seq)
-		// instants as heap events, replayed trials must consume jitter in
-		// the same order as recorded ones, and batched windows (count-only
-		// verification, PR 9) must serve the identical event sequence as
-		// fully verified ones.
-		{true, true, 8, true, false, true, true},
-		{true, true, 8, true, true, false, false},
-		{true, true, 8, true, true, true, false},
-		{true, true, 8, true, false, false, false},
-		{false, false, 1, true, true, true, true},
-	} {
-		if got := render(c.reuse, c.sessions, c.workers, c.plane, c.fused, c.replay, c.batch); got != base {
-			t.Errorf("registry output diverged with reuse=%v sessions=%v workers=%d plane=%v fused=%v replay=%v batch=%v",
-				c.reuse, c.sessions, c.workers, c.plane, c.fused, c.replay, c.batch)
+		if got != base {
+			t.Errorf("registry output diverged with reuse=%v sessions=%v workers=%d",
+				c.reuse, c.sessions, c.workers)
 		}
-	}
-}
-
-// TestQuickBatchDeterminism is the fast batch-on/off determinism corner
-// for `make perf-smoke`: one quick figure sweep with batching on must
-// render byte-identically to the same sweep with batching off. The full
-// registry cube above covers this too, but is far too slow for a smoke
-// gate.
-func TestQuickBatchDeterminism(t *testing.T) {
-	run := func(batch bool) string {
-		sim.SetBatch(batch)
-		defer sim.SetBatch(true)
-		resetSweepCaches()
-		pts, err := Fig9(Options{Quick: true, Seed: 9, Workers: 4})
-		if err != nil {
-			t.Fatalf("batch=%v: %v", batch, err)
-		}
-		return RenderFig9(pts)
-	}
-	if on, off := run(true), run(false); on != off {
-		t.Error("quick Fig9 sweep diverged between batch on and off")
 	}
 }
 

@@ -118,13 +118,12 @@ func (p *Proc) Timestamp() sim.Time {
 // Judge charges the cost of the per-bit decision branch.
 func (p *Proc) Judge() { p.exec(timing.OpJudge) }
 
-// MarkBit tells the kernel's replay engine that the window for the next
-// transmitted symbol starts now (free when replay is not armed; see
-// sim.Kernel.ReplayMark). The sender calls it once per symbol at the top
-// of its per-bit loop.
+// MarkBit tells the kernel that the window for the next transmitted
+// symbol starts now (see sim.Kernel.MarkWindow). The sender calls it once
+// per symbol at the top of its per-bit loop.
 //
 //mes:allocfree
-func (p *Proc) MarkBit(sym int) { p.sys.k.ReplayMark(sym) }
+func (p *Proc) MarkBit() { p.sys.k.MarkWindow() }
 
 // ChargeOp charges the cost of one priced operation without any semantic
 // effect. The channel layer uses it for protocol-shaped overhead the

@@ -73,12 +73,7 @@ func (r *Rendezvous) arrive(p *Proc, lead bool) bool {
 }
 
 // wakeWithLag wakes the parked peer with wake delivery, a crossing penalty
-// when applicable, and an extra lag. The wake goes through the kernel's
-// fused one-slot buffer (sim.SetFusedRendezvous): the second arriver
-// computes the lag and deposits the wake in place, and the parked peer
-// receives it via the host chain's in-place handed transfer — no heap
-// round-trip per barrier round. RNG draws happen caller-side in the same
-// order as the heap path, so jitter consumption is byte-identical.
+// when applicable, and an extra lag.
 //
 //mes:allocfree
 func (r *Rendezvous) wakeWithLag(caller, parked *Proc, lag sim.Duration) {
@@ -86,7 +81,7 @@ func (r *Rendezvous) wakeWithLag(caller, parked *Proc, lag sim.Duration) {
 	if caller.dom != parked.dom {
 		delay += r.sys.prof.Cross(parked.rng)
 	}
-	parked.sp.WakeFused(delay, WaitObject0)
+	parked.sp.Wake(delay, WaitObject0)
 }
 
 // Rounds reports how many completed rendezvous rounds have occurred.

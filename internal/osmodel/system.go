@@ -181,12 +181,6 @@ func (s *System) HostFS() *vfs.FS { return s.hostDomain.fs }
 // Run executes the simulation to completion.
 func (s *System) Run() error { return s.k.Run() }
 
-// ArmReplay readies the kernel's per-bit replay engine for the run about
-// to start (no-op for traced or multi-process configurations; see
-// sim.Kernel.ReplayArm). The session engine arms every steady-state trial
-// between Spawn and Run.
-func (s *System) ArmReplay() { s.k.ReplayArm() }
-
 // Now returns the current virtual time.
 func (s *System) Now() sim.Time { return s.k.Now() }
 
@@ -423,11 +417,7 @@ func (s *System) WaitSnapshot(buf []string) []string {
 
 // wake delivers wake-ups to the waiters returned by a kobj/vfs operation
 // performed by caller. Each waiter pays scheduler delivery cost and a
-// crossing penalty when the signal traverses an isolation boundary. The
-// dominant shape — one waiter, the peer of a two-process channel — rides
-// the kernel's fused wake slot; WakeFused itself falls back to the heap
-// for every waiter beyond the first pending wake, so multi-waiter
-// broadcasts order identically to the classic path.
+// crossing penalty when the signal traverses an isolation boundary.
 func (s *System) wake(caller *Proc, waiters []kobj.Waiter, result int) {
 	for _, w := range waiters {
 		p, ok := w.(*Proc)
@@ -438,7 +428,7 @@ func (s *System) wake(caller *Proc, waiters []kobj.Waiter, result int) {
 		if caller != nil && caller.dom != p.dom {
 			delay += s.prof.Cross(p.rng)
 		}
-		p.sp.WakeFused(delay, result)
+		p.sp.Wake(delay, result)
 	}
 }
 

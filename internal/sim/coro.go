@@ -24,9 +24,8 @@ import "iter"
 // per-transfer overhead over a bare coroswitch is the state-flag protocol
 // (done/yieldNext checks) plus one indirect closure call each way. The
 // structural wins live above this layer instead: the pause() fast path
-// and fused wakes already cut switches per protocol bit to ~1.0 (the
-// alternation lower bound), and symbol batching (replay.go) strips the
-// per-event verification work that used to ride on each switch.
+// and the host chain's in-place handoff already cut switches per
+// protocol bit to ~1.0 (the alternation lower bound).
 //
 // The handle's contract:
 //

@@ -5,7 +5,7 @@ package sim
 // pattern as the RNG's jitter substream — and consults it at the two
 // scheduling choke points every protocol interaction passes through:
 // Proc.Sleep (the OS-sleep primitive, covering schedule/dispatch
-// latency) and the wake paths (Proc.Wake and Proc.WakeFused). Each
+// latency) and the wake path (Proc.Wake). Each
 // consult draws one word and compares it against a fixed threshold; a
 // hit draws a second word to pick the fault class:
 //
@@ -14,19 +14,10 @@ package sim
 //	wake hit:   crash the parked wakee ∣ lost wake ∣ delayed wake
 //
 // Determinism: the substream is seeded from (faultSeed, runSeed) alone
-// and is consulted at call time — before the engine decides whether the
-// event rides the heap, the fused slot or the replay ring — so the
-// draw sequence, and with it the injected fault schedule, is identical
-// across fused/replay/batch toggles, worker counts and machine pooling.
-// At rate 0 the threshold is 0 and no word is ever drawn: faultrate=0
-// runs are byte-identical to a kernel without the plane.
-//
-// Replay interaction: injected deviations are shape-compatible with a
-// recorded skeleton (only times change), so the engine would not bail
-// organically. Every injection therefore explicitly bails the open
-// replay window before it perturbs anything, and a crash — which
-// changes the process count — disarms replay for the rest of the run.
-// Replayed or batched windows never run across an injected fault.
+// and is consulted at call time, so the draw sequence, and with it the
+// injected fault schedule, is identical across worker counts and machine
+// pooling. At rate 0 the threshold is 0 and no word is ever drawn:
+// faultrate=0 runs are byte-identical to a kernel without the plane.
 
 const (
 	// gammaFault is the Weyl increment of the fault substream; a distinct
@@ -100,17 +91,6 @@ func (k *Kernel) faultUint64() uint64 {
 	return mix64(k.fstate)
 }
 
-// faultBailReplay pins the never-replay-across-a-fault invariant:
-// injected deviations keep the recorded event shape (only times move),
-// so the engine must be told, not left to notice.
-//
-//mes:allocfree
-func (k *Kernel) faultBailReplay() {
-	if k.rstate >= replayRecord {
-		k.replayBail()
-	}
-}
-
 // faultSleep consults the plane for one sleep of the given effective
 // duration and returns the possibly perturbed duration. Classes:
 // crash (the sleeping process dies here — does not return), spurious
@@ -123,7 +103,6 @@ func (k *Kernel) faultSleep(p *Proc, total Duration) Duration {
 	if k.faultUint64() >= k.fthresh {
 		return total
 	}
-	k.faultBailReplay()
 	r := k.faultUint64()
 	switch {
 	case r&15 == 0:
@@ -149,7 +128,6 @@ func (k *Kernel) faultWake(q *Proc, delay Duration) (Duration, bool) {
 	if k.faultUint64() >= k.fthresh {
 		return delay, true
 	}
-	k.faultBailReplay()
 	r := k.faultUint64()
 	switch {
 	case r&15 == 0:
@@ -178,9 +156,6 @@ func (k *Kernel) faultWake(q *Proc, delay Duration) (Duration, bool) {
 // the body had completed. The crashed flag makes later wakes targeting
 // the corpse drop instead of panicking.
 func (k *Kernel) crashSelf(p *Proc) {
-	if k.rstate != replayOff {
-		k.replayDisarm()
-	}
 	k.fstats.Crashes++
 	p.crashed = true
 	p.state = ProcDone
@@ -195,9 +170,6 @@ func (k *Kernel) crashSelf(p *Proc) {
 // run before cancel returns), and the structure is left Done exactly
 // like a finished process.
 func (k *Kernel) crashParked(q *Proc) {
-	if k.rstate != replayOff {
-		k.replayDisarm()
-	}
 	k.fstats.Crashes++
 	q.crashed = true
 	k.Record(q, SiteCrash, "", 0, 0)
@@ -219,20 +191,11 @@ func (k *Kernel) InjectCrash(p *Proc) bool {
 	return true
 }
 
-// PendingWakeFor reports whether an undelivered wake targeting p exists
-// in the heap, the fused slot or the replay ring. The OS model's trial
-// watchdog checks it before force-waking a blocked process: rescuing a
-// process whose wake is already in flight would make the late delivery
-// hit a non-parked target and panic.
+// PendingWakeFor reports whether an undelivered wake targeting p is
+// queued. The OS model's trial watchdog checks it before force-waking a
+// blocked process: rescuing a process whose wake is already in flight
+// would make the late delivery hit a non-parked target and panic.
 func (k *Kernel) PendingWakeFor(p *Proc) bool {
-	if k.hasFused && k.fused.kind == evWake && k.fused.proc == p {
-		return true
-	}
-	for i := range k.ring {
-		if k.ringMask&(1<<uint(i)) != 0 && k.ring[i].kind == evWake && k.ring[i].proc == p {
-			return true
-		}
-	}
 	for i := range k.events {
 		if k.events[i].kind == evWake && k.events[i].proc == p {
 			return true

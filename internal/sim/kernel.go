@@ -90,32 +90,6 @@ type Kernel struct {
 	pendingPanic any
 	panicPending bool
 
-	// Side-buffered events (see replay.go). fused is the one-slot wake
-	// buffer; ring holds a replayed window's pending events (occupancy in
-	// ringMask); side counts all events living outside the heap, so the
-	// hot paths can rule both out with one compare.
-	fused    event
-	hasFused bool
-	ring     [replayRingCap]event
-	ringMask uint8
-	side     int
-
-	// Replay engine state (see replay.go): state machine, the open
-	// window's symbol and skeleton cursor, and the per-symbol skeletons
-	// (capacity retained across Reset — steady-state trials re-record
-	// into the same backing arrays).
-	rstate uint8
-	rcur   int
-	rpos   int
-	rprev  int
-	skel   [replayKeys][]replayOp
-	// skelDone marks keys with a recorded skeleton; skelPrevalid marks
-	// keys that additionally replayed cleanly once, making later windows
-	// eligible for batched (count-only verified) execution. A batch-window
-	// bail revokes prevalidation for its key.
-	skelDone     [replayKeys]bool
-	skelPrevalid [replayKeys]bool
-
 	// Fault-injection plane (see fault.go): fthresh is the per-consult
 	// hit threshold (0 = disarmed — the compiled-in hooks reduce to one
 	// false compare), fstate the dedicated splitmix64 substream, fstats
@@ -126,10 +100,10 @@ type Kernel struct {
 	fstats  FaultStats
 
 	// Perf counters, cumulative across Reset (cleared by Release): the
-	// bench harness reads deltas across pooled trials.
+	// bench harness reads deltas across pooled trials. windows counts
+	// symbol windows (MarkWindow), the denominator of switches per bit.
 	switches uint64
-	bitsSeen uint64
-	bitsHit  uint64
+	windows  uint64
 }
 
 // Option configures a Kernel.
@@ -250,7 +224,7 @@ func (k *Kernel) Release() {
 	k.hooks = NopHooks{}
 	k.nop = true
 	k.rng.Reseed(1)
-	k.switches, k.bitsSeen, k.bitsHit = 0, 0, 0
+	k.switches, k.windows = 0, 0
 }
 
 // resetState clears the simulation state shared by Reset and ResetTo,
@@ -287,28 +261,6 @@ func (k *Kernel) resetState() {
 	k.handoff = event{}
 	k.hasHandoff = false
 	k.pendingPanic, k.panicPending = nil, false
-	k.fused = event{}
-	k.hasFused = false
-	if k.ringMask != 0 {
-		for i := range k.ring {
-			k.ring[i] = event{}
-		}
-		k.ringMask = 0
-	}
-	k.side = 0
-	k.rstate = replayOff
-	k.rcur, k.rpos, k.rprev = 0, 0, 0
-	for i := range k.skel {
-		// Zero the full capacity, not just the length: truncated entries
-		// would otherwise keep Proc references alive past Release.
-		s := k.skel[i][:cap(k.skel[i])]
-		for j := range s {
-			s[j].proc = nil
-		}
-		k.skel[i] = s[:0]
-	}
-	k.skelDone = [replayKeys]bool{}
-	k.skelPrevalid = [replayKeys]bool{}
 	k.fthresh, k.fstate = 0, 0
 	k.fstats = FaultStats{}
 }
@@ -340,9 +292,6 @@ func (k *Kernel) schedule(t Time, kind eventKind, p *Proc, value int, fn func())
 		t = k.now
 	}
 	k.seq++
-	if k.rstate >= replayRecord && k.replayScheduled(t, kind, p, value, fn) {
-		return // stored in the replay ring, sequence number already burned
-	}
 	h := append(k.events, event{at: t, seq: k.seq, kind: kind, value: value, proc: p, fn: fn})
 	// Sift up only when the new event beats its parent; scheduling into
 	// the future (the dominant pattern — sleeps and wakes) appends in
@@ -433,11 +382,6 @@ func (k *Kernel) Spawn(name string, fn func(*Proc)) *Proc {
 // finished process structures — including their live coroutines, parked in
 // loop's idle yield — are recycled, so respawning allocates nothing.
 func (k *Kernel) SpawnAt(t Time, name string, fn func(*Proc)) *Proc {
-	if k.rstate != replayOff {
-		// A spawn after arming means the run is not a straight-line
-		// two-process trial; replay bows out for the rest of it.
-		k.replayDisarm()
-	}
 	var p *Proc
 	if n := len(k.free); n > 0 {
 		p = k.free[n-1]
@@ -548,7 +492,7 @@ func (k *Kernel) execute(kind eventKind, value int, q *Proc, fn func()) {
 func (k *Kernel) Run() error {
 	k.hosting = true
 	defer func() { k.hosting = false }()
-	for k.pendingEvents() {
+	for len(k.events) > 0 {
 		if k.panicPending {
 			r := k.pendingPanic
 			k.pendingPanic, k.panicPending = nil, false
@@ -562,11 +506,11 @@ func (k *Kernel) Run() error {
 			// timers) remain. Process-less simulations drain the queue.
 			return nil
 		}
-		if k.horizon > 0 && k.peekAt() > k.horizon {
+		if k.horizon > 0 && k.events[0].at > k.horizon {
 			k.now = k.horizon
 			return nil
 		}
-		at, kind, value, q, fn := k.popNext()
+		at, kind, value, q, fn := k.popTop()
 		if at > k.now {
 			k.now = at
 		}
@@ -594,13 +538,13 @@ func (k *Kernel) Run() error {
 // now; when false the host parks and lets control unwind to Run, which
 // owns the corresponding terminal decision.
 func (k *Kernel) runnable() bool {
-	if k.stopped || !k.pendingEvents() {
+	if k.stopped || len(k.events) == 0 {
 		return false
 	}
 	if k.spawned > 0 && k.live == 0 {
 		return false
 	}
-	if k.horizon > 0 && k.peekAt() > k.horizon {
+	if k.horizon > 0 && k.events[0].at > k.horizon {
 		return false
 	}
 	return true
@@ -610,14 +554,14 @@ func (k *Kernel) runnable() bool {
 // events beyond the horizon are not executed (the clock clamps to the
 // horizon instead, matching Run).
 func (k *Kernel) Step() bool {
-	if !k.pendingEvents() || k.stopped {
+	if len(k.events) == 0 || k.stopped {
 		return false
 	}
-	if k.horizon > 0 && k.peekAt() > k.horizon {
+	if k.horizon > 0 && k.events[0].at > k.horizon {
 		k.now = k.horizon
 		return false
 	}
-	at, kind, value, q, fn := k.popNext()
+	at, kind, value, q, fn := k.popTop()
 	if at > k.now {
 		k.now = at
 	}
@@ -627,6 +571,23 @@ func (k *Kernel) Step() bool {
 
 // Live reports the number of processes that have not finished.
 func (k *Kernel) Live() int { return k.live }
+
+// MarkWindow counts the start of one transmitted symbol's window. The
+// protocol layer calls it once per symbol from the sender's loop; the
+// count is the denominator of the bench trajectory's switches per bit.
+//
+//mes:allocfree
+func (k *Kernel) MarkWindow() { k.windows++ }
+
+// Switches reports the cumulative number of coroutine transfers into
+// process bodies since the kernel was created. The counter survives
+// Reset — the bench harness reads deltas across pooled trials — and is
+// cleared only by Release.
+func (k *Kernel) Switches() uint64 { return k.switches }
+
+// Windows reports the cumulative number of symbol windows marked by
+// MarkWindow. Like Switches it survives Reset and is cleared by Release.
+func (k *Kernel) Windows() uint64 { return k.windows }
 
 // Record appends an entry for p at site s to the attached trace (no-op
 // without one). Higher layers use it to log syscall-level activity — the

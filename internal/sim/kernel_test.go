@@ -2,6 +2,7 @@ package sim
 
 import (
 	"errors"
+	"fmt"
 	"testing"
 	"testing/quick"
 )
@@ -279,4 +280,113 @@ func TestWakeNonParkedPanics(t *testing.T) {
 		}
 	}()
 	_ = k.Run()
+}
+
+func TestWakeOfFinishedProcPanics(t *testing.T) {
+	k := NewKernel()
+	done := k.Spawn("done", func(p *Proc) {})
+	k.Spawn("waker", func(p *Proc) {
+		p.Sleep(10)
+		defer func() {
+			r := recover()
+			if r == nil {
+				t.Fatal("Wake of finished process did not panic at call time")
+			}
+			if want := `sim: Wake of finished process "done"`; r != want {
+				t.Fatalf("panic = %v, want %q", r, want)
+			}
+		}()
+		done.Wake(0, 1)
+	})
+	if err := k.Run(); err != nil {
+		t.Fatalf("run: %v", err)
+	}
+}
+
+// pingPongScript spawns the minimal steady-state trial shape: the sender
+// marks a window per symbol, sleeps a symbol-dependent time, and wakes
+// the parked receiver, which timestamps the gap into out.
+func pingPongScript(k *Kernel, syms []int, out *[]Time) {
+	rcv := k.Spawn("rcv", func(p *Proc) {
+		for range syms {
+			p.Park()
+			*out = append(*out, p.Now())
+		}
+	})
+	k.Spawn("snd", func(p *Proc) {
+		for _, s := range syms {
+			p.k.MarkWindow()
+			p.Sleep(Duration(10 + 5*s))
+			rcv.Wake(3, s)
+		}
+	})
+}
+
+// TestStepMatchesRun drives the same ping-pong through the Run loop (a
+// migrating host chain with in-place handoff) and the Step dispatcher
+// (one event per call, no hosting) and demands identical transcripts.
+func TestStepMatchesRun(t *testing.T) {
+	syms := []int{0, 1, 1, 0, 0, 0, 1, 0, 1, 1, 0, 1, 0, 0, 1, 1}
+	var ran, stepped []Time
+	k := NewKernel()
+	pingPongScript(k, syms, &ran)
+	if err := k.Run(); err != nil {
+		t.Fatalf("run: %v", err)
+	}
+	k = NewKernel()
+	pingPongScript(k, syms, &stepped)
+	for k.Step() {
+	}
+	if len(ran) != len(syms) {
+		t.Fatalf("Run transcript has %d entries, want %d", len(ran), len(syms))
+	}
+	if fmt.Sprint(stepped) != fmt.Sprint(ran) {
+		t.Fatalf("Step diverged from Run:\n got %v\nwant %v", stepped, ran)
+	}
+}
+
+// TestCountersSurviveReset pins the perf counters' lifetime: switches and
+// symbol windows accumulate across Reset (the bench harness reads deltas
+// across pooled trials) and are cleared only by Release.
+func TestCountersSurviveReset(t *testing.T) {
+	var out []Time
+	k := NewKernel()
+	syms := []int{0, 1, 0, 1, 0, 1, 0, 1}
+	pingPongScript(k, syms, &out)
+	if err := k.Run(); err != nil {
+		t.Fatalf("first run: %v", err)
+	}
+	if got := k.Windows(); got != uint64(len(syms)) {
+		t.Fatalf("marked %d windows, want %d", got, len(syms))
+	}
+	switches := k.Switches()
+	k.Reset()
+	if k.Switches() != switches || k.Windows() != uint64(len(syms)) {
+		t.Fatalf("reset cleared counters: switches %d→%d, windows %d→%d",
+			switches, k.Switches(), len(syms), k.Windows())
+	}
+	k.Spawn("plain", func(p *Proc) { p.Sleep(5) })
+	if err := k.Run(); err != nil {
+		t.Fatalf("second run: %v", err)
+	}
+	if k.Switches() <= switches {
+		t.Fatalf("second run added no switches (%d)", k.Switches())
+	}
+	k.Release()
+	if k.Switches() != 0 || k.Windows() != 0 {
+		t.Fatalf("release kept counters: switches %d, windows %d", k.Switches(), k.Windows())
+	}
+}
+
+// TestSwitchCounter pins the switch accounting the bench trajectory
+// depends on: one ping-pong round is one switch into each body.
+func TestSwitchCounter(t *testing.T) {
+	k := NewKernel()
+	SpawnPingPong(k, 100)
+	if err := k.Run(); err != nil {
+		t.Fatalf("run: %v", err)
+	}
+	if k.Switches() == 0 {
+		t.Fatal("switch counter never incremented")
+	}
 }

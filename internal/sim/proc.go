@@ -215,7 +215,7 @@ func (p *Proc) host() {
 			p.yieldOut()
 			continue
 		}
-		at, kind, value, q, fn := k.popNext()
+		at, kind, value, q, fn := k.popTop()
 		if at > k.now {
 			k.now = at
 		}
@@ -292,19 +292,10 @@ func (p *Proc) runDetached(fn func()) {
 // so FIFO ordering by sequence number is preserved.
 func (p *Proc) pause(t Time) {
 	k := p.k
-	if !k.stopped && (k.horizon <= 0 || t <= k.horizon) {
-		if k.side == 0 {
-			if len(k.events) == 0 || t < k.events[0].at {
-				k.now = t
-				return
-			}
-		} else if t < k.peekAt() {
-			// A fused wake or replay-ring event is pending: the strict
-			// comparison must span every source, exactly as the heap-only
-			// check does. Ties still take the slow path.
-			k.now = t
-			return
-		}
+	if !k.stopped && (k.horizon <= 0 || t <= k.horizon) &&
+		(len(k.events) == 0 || t < k.events[0].at) {
+		k.now = t
+		return
 	}
 	k.schedule(t, evDispatch, p, 0, nil)
 	p.yield(ProcSleeping)
@@ -377,11 +368,13 @@ func (p *Proc) Park() int {
 }
 
 // Wake schedules p to resume after delay, delivering value to its Park.
-// Waking a process that is not parked is a programming error and panics at
-// fire time: lost wakeups would silently corrupt channel timing
-// measurements. With the fault plane armed the wake may be lost, delayed
-// or convert into a crash of the wakee (fault.go); wakes of an already
-// crashed process drop silently.
+// Waking a process that is not parked is a programming error: lost
+// wakeups would silently corrupt channel timing measurements. A wake of
+// a finished process panics at call time; one that finds its target not
+// parked when it fires (still running, or sleeping) panics at fire time.
+// With the fault plane armed the wake may be lost, delayed or convert
+// into a crash of the wakee (fault.go); wakes of an already crashed
+// process drop silently.
 func (p *Proc) Wake(delay Duration, value int) {
 	if p.crashed {
 		return

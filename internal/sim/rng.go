@@ -19,29 +19,12 @@ const (
 	// state values in the two streams still diverge from the first draw.
 	jitterPhase = 0x6a09e667f3bcc909
 
-	// jitterChunk is the refill granularity without a plane: one Uint64
-	// of the substream yields eight indices. jitterPlaneSize is the bulk
-	// refill size with the plane enabled; it must be a multiple of
-	// jitterChunk so both modes unpack words identically and the served
-	// index sequence is byte-for-byte the same either way.
+	// jitterChunk is the index count one Uint64 of the substream yields.
+	// jitterPlaneSize is the plane's bulk refill size, a multiple of
+	// jitterChunk.
 	jitterChunk     = 8
 	jitterPlaneSize = 512
 )
-
-// jitterPlaneOn selects bulk plane refills (true) over word-at-a-time
-// refills (false). Both serve the identical index sequence — the toggle
-// trades refill call overhead against cache footprint and exists so the
-// determinism suite can prove the equivalence. Set it only while no
-// simulation is running.
-var jitterPlaneOn = true
-
-// SetJitterPlane selects whether jitter substreams refill their deviate
-// plane in bulk (on) or one word at a time (off). Output is identical;
-// see jitterPlaneOn.
-func SetJitterPlane(on bool) { jitterPlaneOn = on }
-
-// JitterPlaneEnabled reports the current plane refill mode.
-func JitterPlaneEnabled() bool { return jitterPlaneOn }
 
 // RNG is a small, fast, deterministic random source (splitmix64 core).
 // It is deliberately independent of math/rand so that simulation replay
@@ -51,10 +34,9 @@ func JitterPlaneEnabled() bool { return jitterPlaneOn }
 // Besides the primary stream it carries a jitter substream: a second
 // splitmix64 state (different Weyl increment) that feeds quantized
 // deviate indices for the timing layer's table-driven jitter. Keeping
-// the substream separate means batching its refills can never reorder
-// primary-stream draws, so plane-on and plane-off runs are identical by
-// construction. The plane is an inline array — enabling it never
-// allocates.
+// the substream separate means batching its refills into the deviate
+// plane can never reorder primary-stream draws. The plane is an inline
+// array — refilling it never allocates.
 type RNG struct {
 	state uint64
 
@@ -62,11 +44,10 @@ type RNG struct {
 	// holds unpacked indices, and plane[jpos:jpos+jn] are the ones not
 	// yet served. Reseed resets all of it so replays from equal seeds
 	// stay identical across pooling.
-	jstate  uint64
-	jpos    uint32
-	jn      uint32
-	planeOn bool
-	plane   [jitterPlaneSize]uint8
+	jstate uint64
+	jpos   uint32
+	jn     uint32
+	plane  [jitterPlaneSize]uint8
 }
 
 // NewRNG returns a generator seeded with seed. Seed 0 is valid.
@@ -85,7 +66,6 @@ func (r *RNG) Reseed(seed uint64) {
 	r.state = seed + gammaMain
 	r.jstate = (seed + gammaMain) ^ jitterPhase
 	r.jpos, r.jn = 0, 0
-	r.planeOn = jitterPlaneOn
 }
 
 // Uint64 returns the next 64 uniformly random bits.
@@ -269,8 +249,8 @@ func invNormCDF(p float64) float64 {
 func QuantNorm(i uint8) float64 { return quantNorm[i] }
 
 // JitterIndex returns the next quantized-deviate index from the jitter
-// substream. The serving order depends only on the seed — never on the
-// plane mode or refill chunking.
+// substream. The serving order depends only on the seed — never on when
+// the plane is refilled.
 //
 //mes:allocfree
 func (r *RNG) JitterIndex() uint8 {
@@ -291,33 +271,27 @@ func (r *RNG) JitterNorm() float64 { return quantNorm[r.JitterIndex()] }
 
 // PrefillJitter eagerly fills the jitter deviate plane so the trial ahead
 // draws its quantized timing indices from a table vectorized up front —
-// the first priced op of a batched window never stalls on a lazy refill.
-// Purely a buffering decision: the served index sequence is a function of
-// the substream state alone, so output is byte-identical with or without
-// the call. No-op when the plane is off (word-at-a-time mode keeps its
-// lazy cadence) or still holds unserved indices. The kernel calls it once
-// per reset on modeled (non-NopHooks) kernels; child RNGs from Split stay
-// lazy — many never draw jitter at all.
+// its first priced op never stalls on a lazy refill. Purely a buffering
+// decision: the served index sequence is a function of the substream
+// state alone, so output is byte-identical with or without the call.
+// No-op while the plane still holds unserved indices. The kernel calls
+// it once per reset on modeled (non-NopHooks) kernels; child RNGs from
+// Split stay lazy — many never draw jitter at all.
 func (r *RNG) PrefillJitter() {
-	if r.planeOn && r.jn == 0 {
+	if r.jn == 0 {
 		r.jitterRefill()
 	}
 }
 
-// jitterRefill unpacks the next batch of substream words into the plane:
-// the full plane in bulk mode, a single word otherwise. Words unpack
-// low-byte-first in both modes, so the served sequence is identical.
+// jitterRefill unpacks the next jitterPlaneSize/jitterChunk substream
+// words into the plane, each low-byte-first.
 //
 //mes:allocfree
 func (r *RNG) jitterRefill() {
-	n := jitterChunk
-	if r.planeOn {
-		n = jitterPlaneSize
-	}
-	for i := 0; i < n; i += jitterChunk {
+	for i := 0; i < jitterPlaneSize; i += jitterChunk {
 		binary.LittleEndian.PutUint64(r.plane[i:i+jitterChunk], r.jitterUint64())
 	}
-	r.jpos, r.jn = 0, uint32(n)
+	r.jpos, r.jn = 0, jitterPlaneSize
 }
 
 // ExpFloat64 returns an exponential deviate with mean 1.

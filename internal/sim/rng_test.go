@@ -197,46 +197,25 @@ func TestReseedClearsSpareDeviate(t *testing.T) {
 // TestReseedClearsSpareDeviate: the deviate plane buffers up to 512
 // pre-drawn jitter bytes, so Reseed must discard the unconsumed remainder
 // — a pooled RNG reseeded mid-plane would otherwise serve another trial's
-// deviates, breaking replay-from-equal-seeds. Checked in both buffering
-// modes, with the plane left partially consumed at different depths.
+// deviates, breaking replay-from-equal-seeds. Checked with the plane left
+// partially consumed at different depths.
 func TestReseedClearsDeviatePlane(t *testing.T) {
-	defer SetJitterPlane(JitterPlaneEnabled())
-	for _, plane := range []bool{true, false} {
-		SetJitterPlane(plane)
-		fresh := NewRNG(11)
-		var want [8]uint8
-		for i := range want {
-			want[i] = fresh.JitterIndex()
-		}
-		for _, consumed := range []int{1, 7, 8, 9, 500} {
-			pooled := NewRNG(3)
-			for i := 0; i < consumed; i++ {
-				pooled.JitterIndex()
-			}
-			pooled.Reseed(11)
-			for i, w := range want {
-				if got := pooled.JitterIndex(); got != w {
-					t.Fatalf("plane=%v consumed=%d: draw %d after Reseed = %d, want %d (plane survived)",
-						plane, consumed, i, got, w)
-				}
-			}
-		}
+	fresh := NewRNG(11)
+	var want [8]uint8
+	for i := range want {
+		want[i] = fresh.JitterIndex()
 	}
-}
-
-// TestJitterPlaneModeInvariant: the batched plane (512-byte refills) and
-// the incremental mode (8-byte refills) must serve the exact same byte
-// sequence — the plane is a buffering optimisation, not a stream change.
-// The run length crosses several refill boundaries of both modes.
-func TestJitterPlaneModeInvariant(t *testing.T) {
-	defer SetJitterPlane(JitterPlaneEnabled())
-	SetJitterPlane(true)
-	on := NewRNG(17)
-	SetJitterPlane(false)
-	off := NewRNG(17)
-	for i := 0; i < 1300; i++ {
-		if a, b := on.JitterIndex(), off.JitterIndex(); a != b {
-			t.Fatalf("jitter stream diverged at %d: plane-on %d, plane-off %d", i, a, b)
+	for _, consumed := range []int{1, 7, 8, 9, 500} {
+		pooled := NewRNG(3)
+		for i := 0; i < consumed; i++ {
+			pooled.JitterIndex()
+		}
+		pooled.Reseed(11)
+		for i, w := range want {
+			if got := pooled.JitterIndex(); got != w {
+				t.Fatalf("consumed=%d: draw %d after Reseed = %d, want %d (plane survived)",
+					consumed, i, got, w)
+			}
 		}
 	}
 }
