@@ -26,9 +26,9 @@ COVER_KOBJ_MIN ?= 99.0
 STATICCHECK ?= staticcheck
 STATICCHECK_VERSION ?= 2025.1
 
-.PHONY: ci build vet lint test race bench bench-json perf-smoke fault-smoke fuzz-smoke cover
+.PHONY: ci build vet lint bench-module test race bench bench-json perf-smoke fault-smoke fuzz-smoke cover
 
-ci: build vet lint race perf-smoke fault-smoke cover
+ci: build vet lint bench-module race perf-smoke fault-smoke cover
 
 # Static contract enforcement: the meslint vettool checks the
 # determinism, pool-hygiene, mechanism-table and allocfree contracts
@@ -46,6 +46,13 @@ lint:
 	else \
 		echo "lint: skipping staticcheck: not installed (pinned version $(STATICCHECK_VERSION))"; \
 	fi
+
+# bench/ is a module of its own, so ./... above never reaches it: vet it
+# with meslint and run its short tests, so a change that breaks the
+# benchmark's build or its workloads fails CI.
+bench-module: lint
+	$(GO) -C bench vet -vettool=$(abspath bin/meslint) ./...
+	$(GO) -C bench test -short ./...
 
 # Allocation and wall-clock regressions on the tracked hot paths fail
 # fast: the event core must stay at 0 allocs/event, a pooled one-shot

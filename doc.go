@@ -106,9 +106,10 @@
 //     tables are dense slices with cached boundary-crossing bits; the
 //     symbol sequence, latency scratch, decoder and result storage are
 //     all session-owned and grow-once. A steady-state session trial
-//     performs zero heap allocations; the one-shot core.Run path (now the
-//     session engine's special case) performs five — the caller-owned
-//     Result data (budgeted at ≤6 by the perf smoke). The experiments
+//     performs zero heap allocations. Session is the only trial engine:
+//     core.Run is one trial on a session borrowed from a pool, and
+//     performs five allocations — copying the Result out to caller-owned
+//     storage (budgeted at ≤6 by the perf smoke). The experiments
 //     layer gives every sweep worker its own
 //     session per channel substrate (core.SessionCache via
 //     runner.MapWith) and memoizes completed trials across sweeps by full
@@ -153,10 +154,11 @@
 // host loop only ever run the event the queue would have popped next
 // (ties always go through the queue, preserving FIFO), and a reset
 // machine — sessions included — is indistinguishable from a fresh one.
-// The registry tests assert byte-identical output across the cube of
-// worker counts × machine pooling × trial sessions, and
-// core.Session-level tests pin per-trial equality with the one-shot
-// path, including across mid-session deadlocks.
+// The registry tests assert byte-identical output across worker counts
+// 1 and 8, each on a first pass and on a second pass over recycled
+// sessions and machines; core's conformance test adds fresh machines,
+// and core.Session-level tests pin per-trial equality with Run,
+// including across mid-session deadlocks.
 //
 // PR 7 before → after on the 1-core reference container (BENCH_PR7.json):
 //
@@ -267,7 +269,7 @@
 // Use core.Session / RunTrials (facade: NewSession, SendTrials) when
 // replaying one mechanism+scenario substrate many times — Monte-Carlo
 // cells, parameter grids, throughput services; its Results borrow session
-// buffers and are valid until the next trial. Use one-shot Run/Send for
+// buffers and are valid until the next trial. Use Run/Send for
 // isolated transmissions or whenever the caller must keep the full Result
 // (its slices are caller-owned), e.g. traced detector runs.
 //
@@ -334,15 +336,15 @@
 // symbol lock) and ErrCalibration. Either way the trial releases its
 // machine: crashed and deadlocked session trials leave no goroutines
 // behind and the next trial on the session replays byte-identical to a
-// fresh one-shot run.
+// fresh Run.
 //
 // The faultsweep registry experiment sweeps fault rate × mechanism ×
 // recovery mode and renders the BER/throughput degradation matrix; its
 // conformance test pins the headline result — BER degrades monotonically
 // with fault rate for every mechanism, and recovery-on strictly
 // dominates recovery-off at nonzero rates — and the engine-cube test
-// pins the fault matrix byte-identical across worker counts, machine
-// pooling and trial sessions.
+// pins the fault matrix byte-identical across worker counts and across
+// first and recycled passes.
 // cmd/mesbench exposes the axis as -faultrate/-faultseed.
 //
 // # Invariants
@@ -353,8 +355,9 @@
 // of the runtime tests that pin them:
 //
 //   - Determinism: simulation output is a pure function of the config
-//     and seed — byte-identical across worker counts, machine pooling
-//     and trial sessions — including the fault axis: the fault
+//     and seed — byte-identical across worker counts, fresh or recycled
+//     machines and sessions, and whatever ran before on them — including
+//     the fault axis: the fault
 //     substream is drawn at call time. The detnondet analyzer forbids
 //     wall-clock
 //     reads (time.Now/Since/Until), math/rand and map-order-dependent
@@ -363,8 +366,8 @@
 //     plain values (a site id, the resource string, two int64 slots), so
 //     an untraced call costs one inlined nil check and boxes nothing.
 //   - Allocation budgets: the event core runs at 0 allocs/event, a
-//     steady-state session trial at 0 allocs, a one-shot transmission
-//     within its 6-alloc budget. Functions on these paths are annotated
+//     steady-state session trial at 0 allocs, a core.Run within its
+//     6-alloc budget. Functions on these paths are annotated
 //     //mes:allocfree, and the allocfree analyzer rejects closures, fmt
 //     calls and implicit interface boxing inside them;
 //     the poolhygiene analyzer checks that every pooled acquire

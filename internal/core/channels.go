@@ -582,8 +582,8 @@ func (r *writeSyncReceiver) measure(p *osmodel.Proc) (sim.Duration, error) {
 	return p.Timestamp().Sub(start), nil
 }
 
-// newPair builds the sender/receiver implementations for a mechanism. The
-// object/file name is unique per link so concurrent links don't collide.
+// newPair builds the sender/receiver implementations for a mechanism,
+// naming their kernel objects and files after name (see link.objectName).
 func newPair(m Mechanism, par Params, name string) (sender, receiver, error) {
 	switch m {
 	case Event:
@@ -614,8 +614,8 @@ func newPair(m Mechanism, par Params, name string) (sender, receiver, error) {
 	}
 }
 
-// rebindable lets a pooled link (or a trial session) retarget its cached
-// sender/receiver pair at a new run's parameters and object name without
+// rebindable lets a session's link retarget its cached
+// sender/receiver pair at a new trial's parameters and object name without
 // rebuilding the pair. Implementations must leave the structure exactly as
 // newPair would have built it; per-run handles and descriptors are
 // overwritten by setup anyway. Path-backed pairs only rebuild their path

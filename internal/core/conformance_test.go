@@ -34,8 +34,8 @@ func conformanceSnapshot(res *Result) string {
 // mechanism in Mechanisms() — extension family included — must transmit
 // a quick payload at its default parameters with BER under the
 // threshold, a positive measurement window, and byte-identical output
-// whether transmissions run on one worker or eight, with machine pooling
-// on or off.
+// whether transmissions run on one worker or eight, on fresh machines or
+// on machines recycled through the pool.
 func TestMechanismConformance(t *testing.T) {
 	payload := codec.Random(sim.NewRNG(77), 1500)
 	run := func(_ context.Context, m Mechanism) (string, error) {
@@ -56,13 +56,19 @@ func TestMechanismConformance(t *testing.T) {
 		}
 		return conformanceSnapshot(res), nil
 	}
+	fresh := func(ctx context.Context, m Mechanism) (string, error) {
+		drainSystems()
+		return run(ctx, m)
+	}
 
-	defer SetSystemReuse(true)
 	var base []string
 	for _, pooled := range []bool{false, true} {
 		for _, workers := range []int{1, 8} {
-			SetSystemReuse(pooled)
-			snaps, err := runner.Map(context.Background(), Mechanisms(), run, runner.Workers(workers))
+			f := fresh
+			if pooled {
+				f = run
+			}
+			snaps, err := runner.Map(context.Background(), Mechanisms(), f, runner.Workers(workers))
 			if err != nil {
 				t.Fatalf("pooled=%v workers=%d: %v", pooled, workers, err)
 			}
@@ -76,6 +82,18 @@ func TestMechanismConformance(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// drainSystems empties the machine pool, releasing every pooled machine,
+// so the next trial builds a fresh one.
+func drainSystems() {
+	for {
+		sys, ok := systems.Get()
+		if !ok {
+			return
+		}
+		sys.Release()
 	}
 }
 

@@ -5,6 +5,9 @@ import (
 	"runtime"
 	"slices"
 	"testing"
+
+	"mes/internal/codec"
+	"mes/internal/sim"
 )
 
 // TestSessionCrashedTrialsDoNotPoison is the injected-crash extension of
@@ -126,5 +129,39 @@ func TestRecoverRescuesTimedOutTrial(t *testing.T) {
 	}
 	if res.Resyncs == 0 && res.BER > 0.1 {
 		t.Errorf("high BER %.4f with zero resyncs: the re-lock path never engaged", res.BER)
+	}
+}
+
+// TestDeadlockWaitersIndependentOfEngine pins that a deadlock's wait-for
+// snapshot names the same resources whichever engine path ran the trial:
+// Run, or a session whose first trial used another seed. Object names
+// come from the trial's own configuration, never from the session's
+// history.
+func TestDeadlockWaitersIndependentOfEngine(t *testing.T) {
+	payload := codec.Random(sim.NewRNG(1), 200)
+	for _, m := range []Mechanism{Event, Mutex, Flock} {
+		cfg := Config{Mechanism: m, Scenario: Local(), Payload: payload, Seed: 2, FaultRate: 0.01, FaultSeed: 3}
+		var want *DeadlockError
+		if _, err := Run(cfg); !errors.As(err, &want) {
+			t.Fatalf("%v: Run error %v, want a deadlock", m, err)
+		}
+		if len(want.Waiters) == 0 {
+			t.Fatalf("%v: deadlock carries no waiters", m)
+		}
+
+		s, err := NewSession(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		s.Run(999) // any outcome: only the session's history matters
+		var got *DeadlockError
+		_, err = s.RunConfig(cfg)
+		s.Close()
+		if !errors.As(err, &got) {
+			t.Fatalf("%v: session error %v, want a deadlock", m, err)
+		}
+		if !slices.Equal(got.Waiters, want.Waiters) {
+			t.Errorf("%v: session waiters %q, Run waiters %q", m, got.Waiters, want.Waiters)
+		}
 	}
 }

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"errors"
 	"fmt"
 	"slices"
 
@@ -21,9 +20,6 @@ type Decoder struct {
 	spacing float64 // µs between adjacent symbol levels
 }
 
-// errDecoder reports calibration failures.
-var errDecoder = errors.New("core: decoder calibration failed")
-
 // CalibrateDecoder fits a Decoder from the preamble's known symbols and
 // their measured latencies. The preamble must exercise both symbol 0 and
 // symbol m-1.
@@ -39,10 +35,10 @@ func CalibrateDecoder(m int, syncSyms []int, lat []sim.Duration) (*Decoder, erro
 // trials reuse across runs.
 func (d *Decoder) calibrate(m int, syncSyms []int, lat []sim.Duration) error {
 	if m < 2 {
-		return fmt.Errorf("%w: alphabet size %d", errDecoder, m)
+		return fmt.Errorf("%w: alphabet size %d", ErrCalibration, m)
 	}
 	if len(syncSyms) > len(lat) {
-		return fmt.Errorf("%w: %d sync symbols but %d measurements", errDecoder, len(syncSyms), len(lat))
+		return fmt.Errorf("%w: %d sync symbols but %d measurements", ErrCalibration, len(syncSyms), len(lat))
 	}
 	// Typical preambles are 8 symbols, so the level samples fit in
 	// stack-friendly fixed buffers; longer preambles spill to the heap via
@@ -59,14 +55,14 @@ func (d *Decoder) calibrate(m int, syncSyms []int, lat []sim.Duration) error {
 		}
 	}
 	if len(los) == 0 || len(his) == 0 {
-		return fmt.Errorf("%w: preamble must contain symbols 0 and %d", errDecoder, m-1)
+		return fmt.Errorf("%w: preamble must contain symbols 0 and %d", ErrCalibration, m-1)
 	}
 	// Medians, not means: a single outlier measurement in the short
 	// preamble must not skew the thresholds for the whole round.
 	lo := median(los)
 	hi := median(his)
 	if hi-lo < 2 { // µs: below measurement noise, not a usable channel
-		return fmt.Errorf("%w: levels not separated (lo=%.2fµs hi=%.2fµs); channel carries no signal", errDecoder, lo, hi)
+		return fmt.Errorf("%w: levels not separated (lo=%.2fµs hi=%.2fµs); channel carries no signal", ErrCalibration, lo, hi)
 	}
 	d.m, d.level0, d.spacing = m, lo, (hi-lo)/float64(m-1)
 	return nil

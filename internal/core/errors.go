@@ -25,10 +25,9 @@ var (
 	// achieved symbol lock: the initial preamble and every resync
 	// preamble failed to calibrate.
 	ErrSyncLoss = errors.New("core: synchronization lost beyond recovery")
-	// ErrCalibration matches decoder calibration failures. It aliases
-	// the historical errDecoder sentinel, so both spellings match the
-	// same failures and rendered strings are unchanged.
-	ErrCalibration = errDecoder
+	// ErrCalibration matches decoder calibration failures; the decoder
+	// wraps it with the reason.
+	ErrCalibration = errors.New("core: decoder calibration failed")
 )
 
 // DeadlockError reports a stalled transmission with the machine's

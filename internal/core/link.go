@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"slices"
-	"sync/atomic"
 
 	"mes/internal/codec"
 	"mes/internal/metrics"
@@ -14,24 +13,14 @@ import (
 	"mes/internal/timing"
 )
 
-// systems pools simulated machines across transmissions: a sweep's grid
-// cells stop rebuilding the kernel, namespaces, filesystem and process
-// structures per trial. Machines are returned to the pool only after a
-// clean Run (every process finished), and System.Reset restores them to
-// as-new state, so results are bit-identical with pooling on or off.
-// Machines evicted on overflow are released so their parked coroutines
-// exit instead of pinning the machine forever.
+// systems pools simulated machines: sessions acquire one on their first
+// trial and hand it back on Close, so sweep cells and one-shot Runs stop
+// rebuilding the kernel, namespaces, filesystem and process structures
+// per trial. System.Reset restores a pooled machine to as-new state, so
+// results are bit-identical whether a trial gets a recycled or a fresh
+// machine. Machines evicted on overflow are released so their parked
+// coroutines exit instead of pinning the machine forever.
 var systems = runner.NewPoolDrop(func(s *osmodel.System) { s.Release() })
-
-// reuseSystems gates the pool (default on).
-var reuseSystems atomic.Bool
-
-func init() { reuseSystems.Store(true) }
-
-// SetSystemReuse toggles pooling of simulated machines across Run calls.
-// Outputs are identical either way — the determinism tests flip this to
-// prove it; production callers should leave it on.
-func SetSystemReuse(on bool) { reuseSystems.Store(on) }
 
 // Config describes one covert-channel transmission.
 type Config struct {
@@ -97,18 +86,18 @@ type Result struct {
 	Decoder   *Decoder
 }
 
-// link carries the shared state of one transmission run. Links are pooled
-// across Runs (see links) and retain everything a replayed configuration
-// needs — the symbol sequence, the latency scratch buffer, the
-// sender/receiver pair, the rendezvous structure, the profile copy and the
-// two process-body trampolines — so a steady-state trial rebuilds nothing.
+// link carries the shared state of one transmission run. Each Session
+// owns one and retains everything a replayed configuration needs — the
+// symbol sequence, the latency scratch buffer, the sender/receiver pair,
+// the rendezvous structure, the profile copy and the two process-body
+// trampolines — so a steady-state trial rebuilds nothing.
 //
 // Ownership of the slices a Result exposes: SentSyms aliases l.syms, which
 // is immutable once built — the link replaces it wholesale (never mutates
 // it in place) when a run's symbols differ from the previous run's, so
 // Results handed out earlier keep their own consistent copy. Latencies
-// differ every run and are cloned out of the scratch buffer at decode
-// time (sessions borrow the scratch instead; see session.go).
+// alias the scratch buffer and are valid until the next trial (Run copies
+// them out; see session.go).
 type link struct {
 	cfg     Config
 	par     Params
@@ -147,27 +136,45 @@ type link struct {
 	setupDelay sim.Duration
 
 	// spyFn/trojanFn close over the stable link only and are built once
-	// per structure, so pooled Runs spawn without closure allocations.
+	// per structure, so recycled links spawn without closure allocations.
 	spyFn    func(*osmodel.Proc)
 	trojanFn func(*osmodel.Proc)
 
-	// name memoizes the per-(mechanism, seed) object name, saving the
-	// fmt.Sprintf when a pooled link replays the same configuration;
-	// sharePath is the flock shared-file path derived from it. Session
-	// links set pinName: the name is derived once from the first trial and
-	// kept for the session's lifetime (each session owns a private machine,
-	// so names cannot collide, and object names never influence a Result).
+	// name is the run's kernel-object name and sharePath the flock shared
+	// file derived from it (see objectName).
 	name      string
-	nameMech  Mechanism
-	nameSeed  uint64
 	sharePath string
-	pinName   bool
 }
 
-// links pools link structures across transmissions, like systems pools
-// simulated machines. A link is returned to the pool only after a clean
-// run; outputs are identical with pooling on or off.
-var links = runner.NewPool[*link]()
+// objectNames holds each mechanism's untraced object name and flock
+// shared-file path, built once so untraced trials never format a string.
+var objectNames = func() (t [numMechanisms]struct{ name, sharePath string }) {
+	for _, m := range Mechanisms() {
+		t[m].name = fmt.Sprintf("mes_%v", m)
+		t[m].sharePath = "/share/" + t[m].name + ".txt"
+	}
+	return t
+}()
+
+// objectName sets the run's object name from its own configuration and
+// nothing else, so no name depends on what ran earlier on the link. Each
+// run owns a private machine, so names never collide and never influence
+// a Result; they reach output only through traces and deadlock wait-for
+// snapshots. A traced run is named mes_<mech>_<seed>, which the trace
+// goldens and the detector experiment's rendered rows pin; an untraced
+// run takes its mechanism's fixed name from objectNames.
+func (l *link) objectName() {
+	cfg := &l.cfg
+	if cfg.Trace == nil {
+		n := &objectNames[cfg.Mechanism]
+		l.name, l.sharePath = n.name, n.sharePath
+		return
+	}
+	l.name = fmt.Sprintf("mes_%v_%d", cfg.Mechanism, cfg.Seed)
+	if cfg.Mechanism == Flock {
+		l.sharePath = "/share/" + l.name + ".txt"
+	}
+}
 
 // newLink builds a link with its body trampolines bound.
 func newLink() *link {
@@ -253,20 +260,6 @@ func (l *link) runTrojan(p *osmodel.Proc) {
 			p.Sleep(l.par.TT0) // Protocol 1's SLEEP_PERIOD_1
 		}
 	}
-}
-
-// release clears the per-run state and returns the link to the pool.
-// Dropping the config (payload, trace) and the rendezvous's system binding
-// keeps the pooled structure from retaining caller data or pinning a
-// machine; the buffers, the cached pair and the immutable syms slice stay
-// for the next run.
-func (l *link) release() {
-	l.cfg = Config{}
-	l.lat = nil // latBuf keeps the capacity
-	l.rv = nil
-	l.rvStore.Init(nil)
-	l.trojanErr, l.spyErr = nil, nil
-	links.Put(l)
 }
 
 // timeoutMeasure is the deterministic long-level sentinel the Spy logs
@@ -366,19 +359,13 @@ func (l *link) bindPair() error {
 }
 
 // arm prepares the link's run on sys — domains, object name, channel pair,
-// the flock shared file, rendezvous — and spawns the two processes. The
-// caller releases sys on error.
+// the flock shared file, rendezvous — and spawns the two processes. On
+// error no process has run, and the next trial's Reset restores sys.
 func (l *link) arm(sys *osmodel.System) error {
 	cfg := &l.cfg
 	trojanDom, spyDom := domainsFor(sys, cfg.Mechanism, cfg.Scenario)
 
-	if l.name == "" || (!l.pinName && (l.nameMech != cfg.Mechanism || l.nameSeed != cfg.Seed)) {
-		l.name = fmt.Sprintf("mes_%v_%d", cfg.Mechanism, cfg.Seed)
-		l.nameMech, l.nameSeed = cfg.Mechanism, cfg.Seed
-		if cfg.Mechanism == Flock {
-			l.sharePath = "/share/" + l.name + ".txt"
-		}
-	}
+	l.objectName()
 	if err := l.bindPair(); err != nil {
 		return err
 	}
@@ -422,9 +409,8 @@ func BenchConfig() Config {
 	}
 }
 
-// prepare validates cfg and resolves the derived transmission parameters.
-// Run and the session engine share it so a Session trial accepts and
-// rejects exactly the configurations the one-shot path would.
+// prepare validates cfg and resolves the derived transmission parameters
+// for NewSession and every trial.
 func prepare(cfg *Config) (par Params, syncLen int, err error) {
 	if len(cfg.Payload) == 0 {
 		return par, 0, errors.New("core: empty payload")
@@ -454,115 +440,6 @@ func prepare(cfg *Config) (par Params, syncLen int, err error) {
 		cfg.FaultRate = 0 // the sweep layer's explicit-zero sentinel
 	}
 	return par, syncLen, nil
-}
-
-// Run simulates a complete transmission and decodes the Spy's view. It is
-// the one-shot special case of the session engine (see Session): a pooled
-// link and machine are checked out, run once, and returned, with the
-// Result's slices handed to the caller. Sweeps that replay one channel
-// substrate many times should use Session/RunTrials instead, which pin the
-// machine and buffers across trials.
-func Run(cfg Config) (*Result, error) {
-	par, syncLen, err := prepare(&cfg)
-	if err != nil {
-		return nil, err
-	}
-
-	l, ok := links.Get()
-	if !ok {
-		l = newLink()
-	}
-	l.cfg, l.par, l.m, l.syncLen = cfg, par, par.M(), syncLen
-	l.payStart, l.payEnd, l.misses = 0, 0, 0
-	if err := l.bindSymbols(); err != nil {
-		return nil, err
-	}
-
-	l.prof = timing.ProfileFor(cfg.Mechanism.OS(), cfg.Scenario.Isolation)
-	if cfg.Noiseless {
-		l.prof = timing.Noiseless(cfg.Mechanism.OS(), cfg.Scenario.Isolation)
-	}
-	syscfg := osmodel.Config{Profile: l.prof, Seed: cfg.Seed, Trace: cfg.Trace,
-		FaultRate: cfg.FaultRate, FaultSeed: cfg.FaultSeed}
-	var sys *osmodel.System
-	if reuseSystems.Load() {
-		if pooled, ok := systems.Get(); ok {
-			pooled.Reset(syscfg)
-			sys = pooled
-		}
-	}
-	if sys == nil {
-		sys = osmodel.NewSystem(syscfg)
-	}
-	if err := l.arm(sys); err != nil {
-		sys.Release() // drop the machine without leaving parked coroutines
-		return nil, err
-	}
-	if cfg.Recover {
-		wp, wpat := l.watchdog()
-		sys.ArmWatchdog(wp, wpat)
-	}
-
-	runErr := sys.Run()
-	// Diagnose before teardown: the crash count and the wait-for snapshot
-	// live on the machine, which Release scrubs.
-	var crashes uint64
-	if sys.Kernel().FaultsArmed() {
-		crashes = sys.Kernel().FaultStats().Crashes
-	}
-	var waiters []string
-	if runErr != nil && crashes == 0 {
-		// Scoped so the errors.As target only heap-escapes on this cold
-		// path, keeping steady-state trials allocation-free.
-		var dl *sim.DeadlockError
-		if errors.As(runErr, &dl) {
-			waiters = sys.WaitSnapshot(nil)
-		}
-	}
-	switch {
-	case runErr != nil:
-		// Deadlocked or stopped: unwind the blocked coroutines so the
-		// machine (and this link, which their stacks reference) can be
-		// collected instead of being pinned by parked goroutines.
-		sys.Release()
-	case crashes > 0:
-		// The run drained, but a process died to an injected crash — the
-		// machine still holds its unwound remains; scrub, don't pool.
-		sys.Release()
-	case reuseSystems.Load():
-		// Clean completion: every process finished, so the machine can be
-		// recycled — minus its references into this run (trace, bodies),
-		// which must not sit in the pool keeping caller data alive.
-		sys.Detach()
-		systems.Put(sys)
-	default:
-		// Pooling disabled: drop the machine without leaving any parked
-		// coroutines behind.
-		sys.Release()
-	}
-	if crashes > 0 {
-		return nil, &CrashError{Crashes: crashes}
-	}
-	if l.trojanErr != nil {
-		return nil, fmt.Errorf("core: trojan failed: %w", l.trojanErr)
-	}
-	if l.spyErr != nil {
-		return nil, fmt.Errorf("core: spy failed: %w", l.spyErr)
-	}
-	if runErr != nil {
-		var dl *sim.DeadlockError
-		if !errors.As(runErr, &dl) {
-			return nil, runErr
-		}
-		return nil, &DeadlockError{cause: runErr, Waiters: waiters}
-	}
-	res, err := l.decode()
-	if err == nil {
-		// Clean decode: recycle the link. Error paths abandon it — an
-		// abandoned simulated machine may still reference the trampolines.
-		l.release()
-	}
-	return res, err
 }
 
 // observe applies the Spy-side measurement noise model to a raw latency m
@@ -608,28 +485,11 @@ func (l *link) observe(p *osmodel.Proc, m, prevM sim.Duration) sim.Duration {
 	return m
 }
 
-// decode calibrates from the preamble and assembles a caller-owned result
-// for the one-shot path: the latencies are cloned out of the link's
-// scratch buffer, decode storage is freshly allocated, and SentSyms shares
-// the link's immutable symbol sequence.
-func (l *link) decode() (*Result, error) {
-	res := &Result{Latencies: slices.Clone(l.lat)}
-	payload := len(l.lat) - 1 - l.syncLen
-	if payload < 0 {
-		payload = 0
-	}
-	_, _, err := l.assemble(res, &Decoder{},
-		make([]int, 0, payload), make(codec.Bits, 0, payload*l.par.bps()))
-	return res, err
-}
-
 // assemble fills res from the link's completed run: it calibrates dec from
 // the preamble, verifies the sync round, decodes the payload appending
-// into decodedBuf/bitsBuf (so the caller controls their ownership — fresh
-// exact-size buffers on the one-shot path, session-retained scratch on the
-// session path), and computes the error metrics. The possibly grown
-// buffers are returned for the caller to retain; res.Latencies is the
-// caller's to set.
+// into the session's decodedBuf/bitsBuf scratch, and computes the error
+// metrics. The possibly grown buffers are returned for the session to
+// retain; res.Latencies is the caller's to set.
 func (l *link) assemble(res *Result, dec *Decoder, decodedBuf []int, bitsBuf codec.Bits) ([]int, codec.Bits, error) {
 	res.Mechanism, res.Scenario, res.Params = l.cfg.Mechanism, l.cfg.Scenario, l.par
 	res.SentSyms = l.syms

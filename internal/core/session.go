@@ -3,43 +3,31 @@ package core
 import (
 	"errors"
 	"fmt"
-	"sync/atomic"
+	"slices"
 
 	"mes/internal/codec"
 	"mes/internal/osmodel"
+	"mes/internal/runner"
 	"mes/internal/sim"
 	"mes/internal/timing"
 )
 
-// reuseSessions gates the trial-session engine behind the experiment
-// sweeps (default on). When off, SessionCache.Run degrades to the one-shot
-// Run path; outputs are identical either way — the registry determinism
-// test flips this (together with machine pooling and the worker count) to
-// prove it.
-var reuseSessions atomic.Bool
-
-func init() { reuseSessions.Store(true) }
-
-// SetTrialSessions toggles worker-affine trial sessions in SessionCache.
-// Production callers should leave it on; it exists so determinism tests
-// can prove session-on and session-off sweeps render byte-identical
-// output.
-func SetTrialSessions(on bool) { reuseSessions.Store(on) }
-
-// Session pins one simulated machine, link, kernel-object pair and
-// rendezvous for the lifetime of a sweep cell. Consecutive trials reset
-// and reseed the pinned machine instead of tearing it down: the kernel's
-// event queue and coroutines, the namespace's kernel objects, the VFS
-// i-nodes and open-file entries, the flock shared file, the
-// sender/receiver pair and the symbol/latency buffers are all reused in
-// place, so a steady-state trial performs zero heap allocations while
-// producing output byte-identical to the one-shot Run path.
+// Session is the trial engine: every transmission, Run's included, is one
+// Session trial. A session pins one simulated machine, link,
+// kernel-object pair and rendezvous for the lifetime of a sweep cell.
+// Consecutive trials reset and reseed the pinned machine instead of
+// tearing it down: the kernel's event queue and coroutines, the
+// namespace's kernel objects, the VFS i-nodes and open-file entries, the
+// flock shared file, the sender/receiver pair and the symbol/latency
+// buffers are all reused in place, so a steady-state trial performs zero
+// heap allocations. A trial's output depends only on its configuration,
+// never on the trials that ran before it on the session.
 //
-// Result ownership: the *Result returned by Run/RunConfig borrows the
-// session's buffers and is valid only until the session's next trial.
-// Callers must extract (or copy) what they keep before running the next
-// trial. One exception is SentSyms, which is immutable and replaced — not
-// overwritten — when a trial's symbols differ.
+// Result ownership: the *Result returned by Session.Run/RunConfig
+// borrows the session's buffers and is valid only until the session's
+// next trial. Callers must extract (or copy) what they keep before
+// running the next trial. One exception is SentSyms, which is immutable
+// and replaced — not overwritten — when a trial's symbols differ.
 //
 // A Session is not safe for concurrent use; the sweep layer gives each
 // worker its own (see SessionCache and runner.MapWith).
@@ -115,11 +103,57 @@ func NewSession(cfg Config) (*Session, error) {
 	if _, _, err := prepare(&cfg); err != nil {
 		return nil, err
 	}
-	s := &Session{base: cfg, l: newLink()}
-	// The session owns its link outright: its buffers back the Results
-	// handed to the caller, so it must never enter the shared link pool.
-	s.l.pinName = true
-	return s, nil
+	return &Session{base: cfg, l: newLink()}, nil
+}
+
+// sessions pools the sessions behind Run. A pooled session holds no
+// machine and no caller data (see release).
+var sessions = runner.NewPool[*Session]()
+
+// Run simulates a complete transmission and decodes the Spy's view: one
+// trial on a session taken from a shared pool, with the Result copied out
+// to caller-owned storage. Sweeps that replay one channel substrate many
+// times should hold a Session (or use RunTrials) instead, which keeps the
+// machine pinned across trials and skips the copy.
+func Run(cfg Config) (*Result, error) {
+	s, ok := sessions.Get()
+	if !ok {
+		s = &Session{l: newLink()}
+	}
+	s.base = cfg
+	res, err := s.RunConfig(cfg)
+	if res != nil {
+		res = res.clone()
+	}
+	s.release()
+	return res, err
+}
+
+// clone copies a borrowed session Result into caller-owned storage.
+// SentSyms is immutable and stays shared.
+func (r *Result) clone() *Result {
+	c := *r
+	c.Latencies = slices.Clone(r.Latencies)
+	c.DecodedSyms = slices.Clone(r.DecodedSyms)
+	c.ReceivedBits = slices.Clone(r.ReceivedBits)
+	if r.Decoder != nil {
+		dec := *r.Decoder
+		c.Decoder = &dec
+	}
+	return &c
+}
+
+// release returns a Run session to the pool holding nothing of the trial
+// it ran: the machine goes back to the machine pool, and the config
+// (payload, trace), the latencies and the rendezvous binding are cleared,
+// so the pool keeps no caller data alive.
+func (s *Session) release() {
+	s.putMachine()
+	s.base, s.l.cfg = Config{}, Config{}
+	s.l.lat = nil // latBuf keeps the capacity
+	s.l.rv = nil
+	s.l.rvStore.Init(nil)
+	sessions.Put(s)
 }
 
 // Run executes one trial with the given seed (runner.TrialSeed derives
@@ -161,19 +195,15 @@ func (s *Session) RunConfig(cfg Config) (*Result, error) {
 	}
 	syscfg := osmodel.Config{Profile: l.prof, Seed: cfg.Seed, Trace: cfg.Trace,
 		FaultRate: cfg.FaultRate, FaultSeed: cfg.FaultSeed}
-	switch {
-	case s.sys != nil:
+	if s.sys != nil {
 		// The pinned machine: reset in place and reseed. This is the whole
 		// point of the session — trials 2..n rebuild nothing.
 		s.sys.Reset(syscfg)
-	default:
-		if reuseSystems.Load() {
-			if pooled, ok := systems.Get(); ok {
-				pooled.Reset(syscfg)
-				s.sys = pooled
-			}
-		}
-		if s.sys == nil {
+	} else {
+		if pooled, ok := systems.Get(); ok {
+			pooled.Reset(syscfg)
+			s.sys = pooled
+		} else {
 			s.sys = osmodel.NewSystem(syscfg)
 		}
 		// Anchor the counter baseline at acquisition: a pooled machine
@@ -257,27 +287,28 @@ func (s *Session) KernelStats() (switches, replayedBits, totalBits uint64) {
 	return acc.switches, 0, acc.windows
 }
 
-// Close returns the session's machine to the shared pool (or releases it
-// when machine pooling is off). The last trial's Result remains readable —
-// its buffers belong to the session's private link, which is never pooled —
-// but the session must not run further trials.
+// Close returns the session's machine to the shared machine pool. The
+// last trial's Result remains readable — its buffers belong to the
+// session's own link — but the session must not run further trials.
 func (s *Session) Close() {
 	if s.closed {
 		return
 	}
 	s.closed = true
+	s.putMachine()
+}
+
+// putMachine hands the session's machine, if any, back to the machine
+// pool, detached from the trial's trace and process bodies.
+func (s *Session) putMachine() {
 	if s.sys == nil {
 		return
 	}
 	// The machine leaves with its raw counters (the pool's next tenant
 	// re-anchors); keep this session's KernelStats readable and final.
 	s.retireKernelCounters()
-	if reuseSystems.Load() {
-		s.sys.Detach()
-		systems.Put(s.sys)
-	} else {
-		s.sys.Release()
-	}
+	s.sys.Detach()
+	systems.Put(s.sys)
 	s.sys = nil
 }
 
@@ -313,7 +344,7 @@ type sessionKey struct {
 
 // sessionCacheCap bounds how many sessions one worker holds — the full
 // mechanism family times the scenarios a sweep mixes fits comfortably;
-// anything beyond falls back to the one-shot path.
+// anything beyond falls back to Run.
 const sessionCacheCap = 32
 
 // SessionCache holds one worker's sessions, keyed by (mechanism, scenario,
@@ -332,17 +363,10 @@ func NewSessionCache() *SessionCache {
 }
 
 // Run executes cfg on the worker's session for its substrate, creating the
-// session on first use. With sessions disabled (SetTrialSessions(false)),
-// the cache full, or a trace attached it degrades to the one-shot Run —
-// same output, caller-owned Result. (Traced runs bypass sessions because
-// a session pins its kernel-object names to its first trial; Results are
-// unaffected, but a trace's recorded resource names would then depend on
-// which path ran.) The borrowed-Result contract of Session.RunConfig
-// applies.
+// session on first use; with the cache full it falls back to Run (same
+// output, caller-owned Result). Traced configurations run on the session
+// too. The borrowed-Result contract of Session.RunConfig applies.
 func (c *SessionCache) Run(cfg Config) (*Result, error) {
-	if !reuseSessions.Load() || cfg.Trace != nil {
-		return Run(cfg)
-	}
 	key := sessionKey{mech: cfg.Mechanism, scn: cfg.Scenario, noiseless: cfg.Noiseless}
 	s := c.sessions[key]
 	if s == nil {

@@ -5,6 +5,7 @@ import (
 	"runtime/debug"
 	"slices"
 	"testing"
+	"weak"
 
 	"mes/internal/codec"
 	"mes/internal/runner"
@@ -313,9 +314,27 @@ func TestSessionFamilyMatchesRun(t *testing.T) {
 	}
 }
 
+// TestRunRetainsNoTrace pins that a pooled session keeps no caller data:
+// once Run returns and the caller drops its trace, nothing inside core
+// still references it and a collection frees it.
+func TestRunRetainsNoTrace(t *testing.T) {
+	ref := func() weak.Pointer[sim.Trace] {
+		tr := sim.NewTrace(0)
+		cfg := Config{Mechanism: Flock, Scenario: Local(), Payload: sessionTestPayload(64), Seed: 3, Trace: tr}
+		if _, err := Run(cfg); err != nil {
+			t.Fatal(err)
+		}
+		return weak.Make(tr)
+	}()
+	runtime.GC()
+	if ref.Value() != nil {
+		t.Error("the trace survived a collection after Run returned: a pooled session or machine still holds it")
+	}
+}
+
 // TestSessionCache covers the worker-affine cache: substrate keying,
-// reuse across cells, the one-shot fallback when sessions are disabled,
-// and error propagation from invalid configs.
+// reuse across cells, agreement with Run, and error propagation from
+// invalid configs.
 func TestSessionCache(t *testing.T) {
 	c := NewSessionCache()
 	defer c.Close()
@@ -340,15 +359,13 @@ func TestSessionCache(t *testing.T) {
 	if len(c.sessions) != 2 {
 		t.Fatalf("cache holds %d sessions, want 2", len(c.sessions))
 	}
-	// Sessions off: degrade to the one-shot path with identical output.
-	SetTrialSessions(false)
-	off, err := c.Run(cfg)
-	SetTrialSessions(true)
+	// The cached session replays the first cell exactly like Run.
+	one, err := Run(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if off.BER != ber {
-		t.Errorf("session-off BER %v, session-on %v", off.BER, ber)
+	if one.BER != ber {
+		t.Errorf("Run BER %v, cached session %v", one.BER, ber)
 	}
 	// Invalid configs surface the same validation errors as Run.
 	if _, err := c.Run(Config{Mechanism: Event, Scenario: Local()}); err == nil {

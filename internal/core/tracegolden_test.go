@@ -55,26 +55,45 @@ var traceGolden = map[string]map[bool]string{
 
 // TestTraceRenderingGolden renders each cell's whole trace and compares
 // its hash with the pinned one. The faulty cells include injected
-// crashes, so the crash entry's rendering is pinned too.
+// crashes, so the crash entry's rendering is pinned too. Each cell runs
+// twice: through Run, and through a SessionCache whose session already
+// ran an untraced trial of the mechanism at another seed — a trace must
+// not depend on which engine path recorded it or what ran before.
 func TestTraceRenderingGolden(t *testing.T) {
 	payload := codec.Random(sim.NewRNG(11), 400)
+	sc := NewSessionCache()
+	defer sc.Close()
 	crashes := 0
 	for _, m := range Mechanisms() {
 		for _, faulty := range []bool{false, true} {
-			tr := sim.NewTrace(0)
-			cfg := Config{Mechanism: m, Scenario: Local(), Payload: payload, Seed: 21, Trace: tr}
+			cfg := Config{Mechanism: m, Scenario: Local(), Payload: payload, Seed: 21}
 			if faulty {
 				cfg.FaultRate, cfg.FaultSeed, cfg.Recover = 0.02, 5, true
 			}
-			// A faulty cell may end in an injected crash: the error is
-			// part of the pinned outcome, the trace up to it still renders.
-			if _, err := Run(cfg); !faulty && err != nil {
-				t.Fatalf("%v: fault-free traced run failed: %v", m, err)
+			warm := cfg
+			warm.Seed = 999
+			// The warm-up trial may die to an injected fault; only its
+			// history on the session matters.
+			if _, err := sc.Run(warm); !faulty && err != nil {
+				t.Fatalf("%v: untraced warm-up trial failed: %v", m, err)
 			}
-			crashes += len(tr.Filter("crash"))
-			sum := sha256.Sum256([]byte(tr.String()))
-			if got, want := hex.EncodeToString(sum[:]), traceGolden[m.String()][faulty]; got != want {
-				t.Errorf("%v faulty=%v: trace hash %s, want %s (%d entries)", m, faulty, got, want, tr.Len())
+			for _, engine := range []struct {
+				name string
+				run  func(Config) (*Result, error)
+			}{{"Run", Run}, {"session", sc.Run}} {
+				tr := sim.NewTrace(0)
+				cfg.Trace = tr
+				// A faulty cell may end in an injected crash: the error is
+				// part of the pinned outcome, the trace up to it still
+				// renders.
+				if _, err := engine.run(cfg); !faulty && err != nil {
+					t.Fatalf("%v via %s: fault-free traced run failed: %v", m, engine.name, err)
+				}
+				crashes += len(tr.Filter("crash"))
+				sum := sha256.Sum256([]byte(tr.String()))
+				if got, want := hex.EncodeToString(sum[:]), traceGolden[m.String()][faulty]; got != want {
+					t.Errorf("%v faulty=%v via %s: trace hash %s, want %s (%d entries)", m, faulty, engine.name, got, want, tr.Len())
+				}
 			}
 		}
 	}

@@ -45,8 +45,8 @@ func runThunks[R any](o Options, grid []func() (R, error)) ([]R, error) {
 // The Result handed to post borrows the worker's session buffers and is
 // valid only during the call — post must copy any slice it keeps
 // (SentSyms, being immutable, is the one exception). Outputs remain
-// byte-identical to the per-Run path for any worker count, with sessions
-// on or off (TestRegistryDeterministicAcrossPoolingAndWorkers).
+// byte-identical for any worker count, on first and recycled passes
+// (TestRegistryDeterministicAcrossPoolingAndWorkers).
 func runTrials[T, R any](o Options, trials []T, cfg func(T) core.Config, post func(t T, res *core.Result, err error) (R, error)) ([]R, error) {
 	return runner.MapWith(o.ctx(), trials,
 		core.NewSessionCache, (*core.SessionCache).Close,

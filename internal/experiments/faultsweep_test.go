@@ -84,24 +84,22 @@ func TestFaultSweepMonotoneAndDominance(t *testing.T) {
 // TestFaultSweepDeterministicAcrossEngines pins the fault substream's
 // central contract at the sweep level: the rendered fault matrix — whose
 // nonzero-rate cells actively inject faults and crash processes — is
-// byte-identical in every corner of engineCorners (worker counts, pooled
-// vs fresh machines, trial sessions vs one-shot runs). Faults are drawn
-// from a call-time substream, so the schedule must not depend on which
-// machine or worker runs the cell.
+// byte-identical in every corner of engineCorners (worker counts, first
+// pass vs a second pass on recycled sessions and machines). Faults are
+// drawn from a call-time substream, so the schedule must not depend on
+// which machine or worker runs the cell.
 func TestFaultSweepDeterministicAcrossEngines(t *testing.T) {
 	if testing.Short() {
 		t.Skip("fault-matrix engine cube in -short mode")
 	}
 	var base string
 	for i, c := range engineCorners {
-		got := withEngine(c.reuse, c.sessions, func() string {
-			rows, err := FaultSweep(Options{Quick: true, Seed: 1, Workers: c.workers})
-			if err != nil {
-				t.Fatalf("FaultSweep (reuse=%v sessions=%v workers=%d): %v",
-					c.reuse, c.sessions, c.workers, err)
-			}
-			return RenderFaultSweep(rows)
-		})
+		resetSweepCaches()
+		rows, err := FaultSweep(Options{Quick: true, Seed: 1, Workers: c.workers})
+		if err != nil {
+			t.Fatalf("FaultSweep (%s pass, workers=%d): %v", c.pass, c.workers, err)
+		}
+		got := RenderFaultSweep(rows)
 		if i == 0 {
 			base = got
 			if !strings.Contains(base, "fault injection") {
@@ -110,8 +108,7 @@ func TestFaultSweepDeterministicAcrossEngines(t *testing.T) {
 			continue
 		}
 		if got != base {
-			t.Errorf("fault matrix diverged with reuse=%v sessions=%v workers=%d",
-				c.reuse, c.sessions, c.workers)
+			t.Errorf("fault matrix diverged on the %s pass with workers=%d", c.pass, c.workers)
 		}
 	}
 }

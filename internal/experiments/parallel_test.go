@@ -5,8 +5,6 @@ import (
 	"errors"
 	"strings"
 	"testing"
-
-	"mes/internal/core"
 )
 
 // TestSweepsDeterministicAcrossWorkers is the runner's central contract at
@@ -108,57 +106,38 @@ func TestRegistryCachesSharedSweeps(t *testing.T) {
 }
 
 // engineCorners is the determinism cube the registry and fault-sweep
-// tests compare: every combination of machine pooling
-// (core.SetSystemReuse), worker-affine trial sessions versus one-shot
-// runs (core.SetTrialSessions) and serial versus parallel sweeps. The
-// first corner — fresh machines, one-shot runs, serial — is the base the
+// tests compare: serial versus parallel sweeps, each rendered on a first
+// pass and again on a second pass that runs on the sessions and machines
+// the first pass returned to the pools. The first corner is the base the
 // others must match byte for byte.
 var engineCorners = []struct {
-	reuse, sessions bool
-	workers         int
-}{
-	{false, false, 1}, {false, false, 8},
-	{false, true, 1}, {false, true, 8},
-	{true, false, 1}, {true, false, 8},
-	{true, true, 1}, {true, true, 8},
-}
+	workers int
+	pass    string
+}{{1, "first"}, {8, "first"}, {1, "second"}, {8, "second"}}
 
-// withEngine runs render under one corner of engineCorners with cold
-// sweep caches, restoring the production defaults afterwards.
-func withEngine(reuse, sessions bool, render func() string) string {
-	core.SetSystemReuse(reuse)
-	core.SetTrialSessions(sessions)
-	defer core.SetSystemReuse(true)
-	defer core.SetTrialSessions(true)
-	resetSweepCaches()
-	return render()
-}
-
-// TestRegistryDeterministicAcrossPoolingAndWorkers is the pooled-kernel
+// TestRegistryDeterministicAcrossPoolingAndWorkers is the pooled-machine
 // and trial-session contract at the registry level: the full registry
 // renders byte-identical output in every corner of engineCorners. The
-// sweep cache is reset between renderings so every configuration really
-// recomputes.
+// sweep caches are reset between renderings so every configuration
+// really recomputes.
 func TestRegistryDeterministicAcrossPoolingAndWorkers(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full registry sweep in -short mode")
 	}
 	var base string
 	for i, c := range engineCorners {
-		got := withEngine(c.reuse, c.sessions, func() string {
-			var b strings.Builder
-			for _, e := range Registry() {
-				out, err := e.Run(Options{Quick: true, Seed: 9, Workers: c.workers})
-				if err != nil {
-					t.Fatalf("%s (reuse=%v sessions=%v workers=%d): %v",
-						e.Name, c.reuse, c.sessions, c.workers, err)
-				}
-				b.WriteString(e.Name)
-				b.WriteByte('\n')
-				b.WriteString(out)
+		resetSweepCaches()
+		var b strings.Builder
+		for _, e := range Registry() {
+			out, err := e.Run(Options{Quick: true, Seed: 9, Workers: c.workers})
+			if err != nil {
+				t.Fatalf("%s (%s pass, workers=%d): %v", e.Name, c.pass, c.workers, err)
 			}
-			return b.String()
-		})
+			b.WriteString(e.Name)
+			b.WriteByte('\n')
+			b.WriteString(out)
+		}
+		got := b.String()
 		if i == 0 {
 			base = got
 			// The registry sweep must include the crossmech extension
@@ -170,8 +149,7 @@ func TestRegistryDeterministicAcrossPoolingAndWorkers(t *testing.T) {
 			continue
 		}
 		if got != base {
-			t.Errorf("registry output diverged with reuse=%v sessions=%v workers=%d",
-				c.reuse, c.sessions, c.workers)
+			t.Errorf("registry output diverged on the %s pass with workers=%d", c.pass, c.workers)
 		}
 	}
 }

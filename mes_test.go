@@ -84,7 +84,7 @@ func TestFacadeAllScenarios(t *testing.T) {
 // internal/sim's TestKernelEventAllocsAmortizedZero: one complete pooled
 // transmission must stay within 6 heap allocations — the Result and its
 // caller-owned slices (latencies, decoded symbols, received bits) plus the
-// decoder. Everything else is recycled: machines, links, trampolines,
+// decoder. Everything else is recycled: sessions, machines, trampolines,
 // queues and scratch as before, and since PR 5 also the kernel objects,
 // i-nodes and open-file entries (retired-structure reuse), the
 // sender/receiver pair, the rendezvous, and the symbol sequence (replayed
@@ -106,12 +106,12 @@ func TestTransmissionAllocBudget(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	// The machine/link pools are explicit free lists (runner.Pool), never
+	// The session/machine pools are explicit free lists (runner.Pool), never
 	// shed by the GC, so after one warm-up run every measured run reuses
 	// the same pooled state. GC stays off during measurement anyway so an
 	// incidental collection cannot perturb the count.
 	defer debug.SetGCPercent(debug.SetGCPercent(-1))
-	run() // warm the machine/link pools
+	run() // warm the session/machine pools
 	allocs := testing.AllocsPerRun(10, run)
 	if allocs > 6 {
 		t.Errorf("transmission allocations = %.1f per run, want ≤ 6 steady-state", allocs)
@@ -143,7 +143,7 @@ func TestTracedTransmissionAllocBudget(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		run() // warm the machine/link pools
+		run() // warm the session/machine pools
 		return testing.AllocsPerRun(5, run)
 	}
 	defer debug.SetGCPercent(debug.SetGCPercent(-1))
