@@ -2,6 +2,8 @@
 # internally (small payloads), and `ci` adds -short to skip the full
 # registry sweeps, keeping the race-instrumented suite to a few minutes.
 GO ?= go
+# The toolchain's own gofmt, so the lint gate formats with the go in use.
+GOFMT ?= $(shell $(GO) env GOROOT)/bin/gofmt
 
 # Which BENCH_PR<n>.json the bench-json target writes; bump per PR so the
 # repo accumulates a performance trajectory. Point BENCH_BASELINE at the
@@ -30,11 +32,19 @@ STATICCHECK_VERSION ?= 2025.1
 
 ci: build vet lint bench-module race perf-smoke fault-smoke cover
 
-# Static contract enforcement: the meslint vettool checks the
-# determinism, pool-hygiene, mechanism-table and allocfree contracts
-# (see internal/analysis/doc.go for the invariants and the
-# //lint:allow / //mes:* directives).
+# Static contract enforcement: every main-module Go file must be gofmt
+# clean (testdata/ fixtures, the vendored third_party/ tree and the bench/
+# module excluded), and the meslint vettool checks the determinism,
+# pool-hygiene, mechanism-table and allocfree contracts (see
+# internal/analysis/doc.go for the invariants and the //lint:allow /
+# //mes:* directives).
 lint:
+	@unformatted="$$(find . -name '*.go' -not -path './third_party/*' -not -path './bench/*' \
+		-not -path '*/testdata/*' | xargs $(GOFMT) -l)" || \
+		{ echo "lint: $(GOFMT) -l failed"; exit 1; }; \
+	if [ -n "$$unformatted" ]; then \
+		echo "lint: gofmt -l reports unformatted files:"; echo "$$unformatted"; exit 1; \
+	fi
 	$(GO) build -o bin/meslint ./cmd/meslint
 	$(GO) vet -vettool=$(abspath bin/meslint) ./...
 	@if command -v $(STATICCHECK) >/dev/null 2>&1; then \
@@ -57,7 +67,7 @@ bench-module: lint
 # Allocation and wall-clock regressions on the tracked hot paths fail
 # fast: the event core must stay at 0 allocs/event, a pooled one-shot
 # transmission within its 6-allocation budget (tracing it adds at most
-# 32 more), a steady-state session trial at 0 allocations, the quick
+# 14 more), a steady-state session trial at 0 allocations, the quick
 # registry within 15% of the checked-in wall-clock baseline, and the
 # event core above an absolute events/s floor
 # with the registry under an absolute wall budget (levels re-picked per PR

@@ -17,8 +17,8 @@ import (
 	"mes/internal/timing"
 )
 
-// benchOpt keeps benchmark iterations affordable; absolute numbers in
-// EXPERIMENTS.md come from full-fidelity runs.
+// benchOpt keeps benchmark iterations affordable; absolute numbers come
+// from full-fidelity runs (mesbench without -quick).
 var benchOpt = experiments.Options{Bits: 4000, Seed: 1}
 
 // benchScenarioTable drives one of Tables IV/V/VI, a sub-benchmark per

@@ -143,10 +143,17 @@
 //     (pinned by core's trace-hash golden table). internal/detect groups
 //     by (event, Object) read straight off each entry — no string
 //     parsing, so two resources whose names share a final word stay two
-//     — and skips object-less entries before any map lookup. A traced
-//     1000-bit transmission allocates 18 times more than an untraced one
-//     (the trace, its entry slice's doublings, one origin row per
-//     process), where boxing every entry's arguments cost ~5000.
+//     — and skips object-less entries before any map lookup. A trace's
+//     storage grows by doubling and never past a bounded trace's
+//     capacity, so a traced 1000-bit transmission allocates 12 times
+//     more than an untraced one (the trace, its origin index, one origin
+//     row per process and the storage's doublings; ≤14 by the perf
+//     smoke), where append's 1.25× growth cost 19 and boxing every
+//     entry's arguments ~5000.
+//   - Setup pays only for what a run touches: each calibrated or
+//     noiseless timing profile (~55KB of quantized tables) is built on
+//     its first request, not at package init, so a one-substrate run
+//     builds one of the twelve.
 //
 // Outputs stay deterministic through all of this because ordering is a
 // total order on (time, sequence): the hand-rolled heap pops the same

@@ -25,5 +25,5 @@ func main() {
 		fmt.Printf("%-10v sent %q, received %q  (BER %.2f%%, %.3f kb/s wall clock)\n",
 			m, secret, res.ReceivedBits.Text(), res.BER*100, res.TRKbps)
 	}
-	fmt.Println("\nnote: goroutines stand in for processes; see DESIGN.md §9")
+	fmt.Println("\nnote: goroutines stand in for processes; see the internal/realtime package doc")
 }

@@ -75,7 +75,7 @@ func run(pass *analysis.Pass) (interface{}, error) {
 // acquire is one tracked acquisition site inside a function.
 type acquire struct {
 	stmt *ast.AssignStmt
-	v    *types.Var // the acquired value
+	v    *types.Var   // the acquired value
 	err  types.Object // error companion of (v, err :=) forms, else nil
 	what string       // noun for diagnostics
 	hint string       // suggested release call

@@ -9,8 +9,8 @@ import (
 
 // TestCalibrationReport prints simulated Table IV/V/VI rows next to the
 // paper's targets. Run with -v to inspect; the assertions only enforce the
-// coarse bands (BER < 1%, paper's TR ordering), the exact targets live in
-// EXPERIMENTS.md.
+// coarse bands (BER < 1%, paper's TR ordering); the exact targets are the
+// paper columns of the table4/table5/table6 experiments.
 func TestCalibrationReport(t *testing.T) {
 	if testing.Short() {
 		t.Skip("calibration sweep")

@@ -625,18 +625,18 @@ type rebindable interface {
 	rebind(par Params, name string)
 }
 
-func (s *eventSender) rebind(par Params, name string)   { s.name, s.par = name, par }
-func (r *eventReceiver) rebind(_ Params, name string)   { r.name = name }
-func (s *timerSender) rebind(par Params, name string)   { s.name, s.par = name, par }
-func (r *timerReceiver) rebind(_ Params, name string)   { r.name = name }
-func (s *mutexSender) rebind(par Params, name string)   { s.name, s.par = name, par }
-func (r *mutexReceiver) rebind(_ Params, name string)   { r.name = name }
-func (s *semSender) rebind(par Params, name string)     { s.name, s.par = name, par }
-func (r *semReceiver) rebind(_ Params, name string)     { r.name = name }
-func (s *futexSender) rebind(par Params, name string)   { s.name, s.par = name, par }
-func (r *futexReceiver) rebind(_ Params, name string)   { r.name = name }
-func (s *condSender) rebind(par Params, name string)    { s.name, s.par = name, par }
-func (r *condReceiver) rebind(_ Params, name string)    { r.name = name }
+func (s *eventSender) rebind(par Params, name string) { s.name, s.par = name, par }
+func (r *eventReceiver) rebind(_ Params, name string) { r.name = name }
+func (s *timerSender) rebind(par Params, name string) { s.name, s.par = name, par }
+func (r *timerReceiver) rebind(_ Params, name string) { r.name = name }
+func (s *mutexSender) rebind(par Params, name string) { s.name, s.par = name, par }
+func (r *mutexReceiver) rebind(_ Params, name string) { r.name = name }
+func (s *semSender) rebind(par Params, name string)   { s.name, s.par = name, par }
+func (r *semReceiver) rebind(_ Params, name string)   { r.name = name }
+func (s *futexSender) rebind(par Params, name string) { s.name, s.par = name, par }
+func (r *futexReceiver) rebind(_ Params, name string) { r.name = name }
+func (s *condSender) rebind(par Params, name string)  { s.name, s.par = name, par }
+func (r *condReceiver) rebind(_ Params, name string)  { r.name = name }
 
 func (s *fileLockSender) rebind(par Params, name string) {
 	s.par = par

@@ -188,6 +188,7 @@ func newLink() *link {
 // mode a watchdog-rescued wait (barrier or measurement) logs the
 // long-level sentinel instead of aborting, so every symbol slot stays
 // filled and the decoder can resync downstream.
+//
 //mes:allocfree
 func (l *link) runSpy(p *osmodel.Proc) {
 	if err := l.rcv.setup(p); err != nil {
@@ -233,6 +234,7 @@ func (l *link) runSpy(p *osmodel.Proc) {
 }
 
 // runTrojan is the Trojan process body: one send per symbol.
+//
 //mes:allocfree
 func (l *link) runTrojan(p *osmodel.Proc) {
 	p.Sleep(l.setupDelay)
@@ -443,7 +445,7 @@ func prepare(cfg *Config) (par Params, syncLen int, err error) {
 }
 
 // observe applies the Spy-side measurement noise model to a raw latency m
-// (see internal/timing and DESIGN.md §5):
+// (see internal/timing's calib.go for the calibration):
 //
 //   - cooperation: "system blocking" outliers stretch the observation,
 //     capped just under one bit period (longer delays are rounds the
@@ -453,6 +455,7 @@ func prepare(cfg *Config) (par Params, syncLen int, err error) {
 //     blocking window entirely on long holds (Fig. 10's right side);
 //   - both: rare wholesale corruption (the Spy observes the neighbouring
 //     bit's timing), the guard-independent BER floor.
+//
 //mes:allocfree
 func (l *link) observe(p *osmodel.Proc, m, prevM sim.Duration) sim.Duration {
 	prof := &l.prof

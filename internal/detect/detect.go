@@ -63,6 +63,7 @@ type resID struct {
 // must be listed here — a mechanism whose events are missing is
 // invisible to the detector (the audit TestAnalyzeCoversChannelEvents
 // pins the list against the mechanisms' traced syscalls).
+//
 //mes:mechevents-keys
 var channelEvents = map[string]bool{
 	"flock":      true,

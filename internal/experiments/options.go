@@ -1,5 +1,5 @@
 // Package experiments regenerates every table and figure of the paper's
-// evaluation (§V–§VI) plus the ablations DESIGN.md calls out. Each
+// evaluation (§V–§VI) plus ablations and extensions of it. Each
 // generator declares its parameter grid as a slice of trial configs and
 // fans out through internal/runner's worker pool; transmission grids run
 // through worker-affine trial sessions (runTrials: each worker pins one

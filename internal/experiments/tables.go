@@ -43,7 +43,8 @@ var paperTable = map[timing.Isolation]map[core.Mechanism][2]float64{ // {BER%, T
 	},
 }
 
-// PaperValues exposes the reported numbers (EXPERIMENTS.md generation).
+// PaperValues exposes the paper's reported Table IV–VI numbers for one
+// scenario and mechanism.
 func PaperValues(iso timing.Isolation, m core.Mechanism) (berPct, trKbps float64, ok bool) {
 	v, ok := paperTable[iso][m]
 	return v[0], v[1], ok

@@ -106,6 +106,7 @@ type waitQueue struct {
 
 // wakeOne returns a single-element waiter list backed by the reusable
 // buffer.
+//
 //mes:allocfree
 func (q *waitQueue) wakeOne(w Waiter) []Waiter {
 	if q.wake == nil {
@@ -117,6 +118,7 @@ func (q *waitQueue) wakeOne(w Waiter) []Waiter {
 
 // wakeN pops up to n waiters into the reusable buffer, preserving FIFO
 // order.
+//
 //mes:allocfree
 func (q *waitQueue) wakeN(n int) []Waiter {
 	if q.wake == nil {

@@ -1,7 +1,7 @@
 // Package realtime runs the MES channel protocols on real goroutines with
 // wall-clock timing, complementing the deterministic simulation in
 // internal/core. Goroutines stand in for the paper's processes (portable
-// cross-process synchronization without cgo is awkward — see DESIGN.md §9)
+// cross-process synchronization without cgo is awkward)
 // and Go sync primitives stand in for the kernel objects:
 //
 //   - Event            → a 1-buffered channel (auto-reset event semantics)

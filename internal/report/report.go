@@ -1,5 +1,5 @@
 // Package report renders experiment results as aligned text tables, ASCII
-// plots and CSV, for the mesbench command and the EXPERIMENTS.md record.
+// plots and CSV for the mesbench command.
 package report
 
 import (

@@ -411,8 +411,8 @@ func (k *Kernel) SpawnAt(t Time, name string, fn func(*Proc)) *Proc {
 }
 
 // resume transfers control into q's coroutine, creating it on first use.
-// The transfer is a coroutine switch (a bare runtime.coroswitch on
-// non-race builds; see coro.go): a direct goroutine-to-goroutine transfer
+// The transfer is a coroutine switch (iter.Pull's runtime.coroswitch on
+// every build; see coro.go): a direct goroutine-to-goroutine transfer
 // with no scheduler park/unpark, so the Go runtime never arbitrates the
 // simulation's single-threaded control flow.
 //

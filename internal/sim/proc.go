@@ -38,12 +38,12 @@ func (s ProcState) String() string {
 // It is recovered inside runBody and never escapes the sim package.
 type procAbort struct{}
 
-// Proc is a simulated process. Its body runs on a coroutine (a direct
-// runtime.coroswitch transfer on non-race builds, iter.Pull under -race —
-// see coro.go; never a scheduler park/unpark round-trip), and the kernel
-// guarantees at most one body executes at a time, so bodies may use plain
-// Go code without synchronization. All methods below must be called from
-// within the owning body.
+// Proc is a simulated process. Its body runs on a coroutine (an iter.Pull
+// transfer on every build — see coro.go for why the linker rules out a
+// bare runtime.coroswitch; never a scheduler park/unpark round-trip), and
+// the kernel guarantees at most one body executes at a time, so bodies may
+// use plain Go code without synchronization. All methods below must be
+// called from within the owning body.
 type Proc struct {
 	k    *Kernel
 	id   int

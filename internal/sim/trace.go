@@ -162,10 +162,23 @@ func NewTrace(capacity int) *Trace {
 	return &Trace{cap: capacity}
 }
 
+// minTraceGrowth is the entry capacity a trace's first growth reserves.
+const minTraceGrowth = 64
+
 func (t *Trace) record(now Time, p *Proc, s Site, obj string, a, b int64) {
-	if t.cap > 0 && len(t.entries) >= t.cap {
-		t.dropped++
-		return
+	if len(t.entries) == cap(t.entries) {
+		if t.cap > 0 && len(t.entries) >= t.cap {
+			t.dropped++
+			return
+		}
+		// Double rather than let append grow large slices by 1.25x, which
+		// re-copies a long trace several times over; a bounded trace never
+		// grows past its capacity.
+		n := max(2*len(t.entries), minTraceGrowth)
+		if t.cap > 0 {
+			n = min(n, t.cap)
+		}
+		t.entries = append(make([]Entry, 0, n), t.entries...)
 	}
 	t.entries = append(t.entries, Entry{T: now, Object: obj, a: a, b: b, src: t.origin(p, s)})
 }

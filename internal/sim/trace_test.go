@@ -104,3 +104,38 @@ func TestZeroEntryRenders(t *testing.T) {
 		t.Fatalf("zero entry = %q", e.String())
 	}
 }
+
+// TestTraceGrowthIsLogarithmic: recording grows an unbounded trace's
+// storage by doubling, so n entries cost O(log n) allocations, and a
+// bounded trace's storage never outgrows its capacity.
+func TestTraceGrowthIsLogarithmic(t *testing.T) {
+	const n = 100_000
+	allocs := testing.AllocsPerRun(3, func() {
+		tr := NewTrace(0)
+		for i := 0; i < n; i++ {
+			tr.record(Time(i), nil, SitePark, "", 0, 0)
+		}
+	})
+	// The trace, its origin index and row, and one allocation per
+	// doubling from minTraceGrowth up to n.
+	doublings := 1
+	for c := minTraceGrowth; c < n; c *= 2 {
+		doublings++
+	}
+	if want := float64(3 + doublings); allocs > want {
+		t.Errorf("recording %d entries made %.0f allocations, want ≤ %.0f", n, allocs, want)
+	}
+
+	for _, capacity := range []int{1, 63, 64, 100, 1000} {
+		tr := NewTrace(capacity)
+		for i := 0; i < 2*capacity+10; i++ {
+			tr.record(Time(i), nil, SitePark, "", 0, 0)
+		}
+		if tr.Len() != capacity || tr.Dropped() != capacity+10 {
+			t.Errorf("NewTrace(%d): kept %d, dropped %d, want %d and %d", capacity, tr.Len(), tr.Dropped(), capacity, capacity+10)
+		}
+		if c := cap(tr.Entries()); c > capacity {
+			t.Errorf("NewTrace(%d) holds storage for %d entries, want ≤ %d", capacity, c, capacity)
+		}
+	}
+}

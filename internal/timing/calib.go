@@ -1,6 +1,10 @@
 package timing
 
-import "mes/internal/sim"
+import (
+	"sync"
+
+	"mes/internal/sim"
+)
 
 // Calibration. The constants below were tuned so the simulated channels
 // land in the paper's reported bands (Table IV/V/VI and Figs. 9–10) with
@@ -27,8 +31,9 @@ import "mes/internal/sim"
 //   - Wholesale observation corruption ≈ 0.5%: the guard-independent BER
 //     floor in every table cell.
 //
-// See DESIGN.md §5 for the full model and EXPERIMENTS.md for measured-vs-
-// paper numbers.
+// The Profile field comments in profile.go describe the full model; the
+// table4/table5/table6 experiments (mesbench -exp table4) print measured
+// numbers next to the paper's.
 
 // windowsLocal is the base Windows 10 profile on the host.
 func windowsLocal() Profile {
@@ -160,9 +165,11 @@ func linuxLocal() Profile {
 	return p
 }
 
-// ForIsolation derives a scenario variant of a base profile: crossing
-// penalties and a noisier hazard environment.
-func (p Profile) ForIsolation(iso Isolation) Profile {
+// forIsolation derives a scenario variant of a base profile: crossing
+// penalties and a noisier hazard environment. It leaves the quantized
+// tables unbuilt, so each builder below builds them once, after its last
+// parameter change.
+func (p Profile) forIsolation(iso Isolation) Profile {
 	q := p
 	q.Iso = iso
 	switch iso {
@@ -185,73 +192,64 @@ func (p Profile) ForIsolation(iso Isolation) Profile {
 		q.BarrierLag = p.BarrierLag + sim.Micro(8)
 	}
 	q.Name = p.OS.String() + "/" + iso.String()
-	q.initSigma()
 	return q
 }
 
-// profileCache holds the six calibrated OS × isolation profiles, indexed
-// by the two iota enums. Profiles are pure values (the op-cost table is an
-// array), so handing out copies from the cache keeps ProfileFor
-// allocation-free on the per-transmission path — deriving a profile on
-// demand would pay ForIsolation's name concatenation every call.
-var profileCache = func() (cache [2][3]Profile) {
-	for _, e := range [...]struct {
-		os   OSKind
-		base Profile
-	}{{Windows, windowsLocal()}, {Linux, linuxLocal()}} {
-		for _, iso := range []Isolation{Local, Sandbox, VM} {
-			cache[e.os][iso] = e.base.ForIsolation(iso)
-		}
-	}
-	return cache
-}()
+// profiles and noiseless hold the calibrated and noiseless OS × isolation
+// profiles, indexed by the two iota enums and each built on its first
+// request: a run pays for the quantized tables (~55KB a profile) of the
+// slots it touches, not for all twelve at package init. Profiles are pure
+// values (the op-cost table is an array), so handing out copies of a built
+// slot keeps ProfileFor and Noiseless allocation-free on the
+// per-transmission path — deriving a profile on demand would pay
+// forIsolation's name concatenation and a table build every call.
+var (
+	profiles  = lazyProfiles{build: calibrated}
+	noiseless = lazyProfiles{build: noiselessProfile}
+)
 
-// ProfileFor returns the calibrated profile for an OS/scenario pair.
-func ProfileFor(os OSKind, iso Isolation) Profile {
-	if os >= 0 && int(os) < len(profileCache) && iso >= 0 && int(iso) < len(profileCache[0]) {
-		return profileCache[os][iso]
+// lazyProfiles is one OS × isolation matrix of profiles, built per slot
+// on first use. Concurrent first requests for a slot block until the one
+// build finishes, so every caller shares the same tables.
+type lazyProfiles struct {
+	build func(OSKind, Isolation) Profile
+	slots [2][3]struct {
+		once sync.Once
+		p    Profile
 	}
-	base := windowsLocal()
-	if os != Windows {
-		base = linuxLocal()
-	}
-	return base.ForIsolation(iso)
 }
 
-// noiselessCache mirrors profileCache for the noiseless variants.
-// Noiseless sits on the per-transmission setup path of every noiseless
-// run, and initSigma now builds a ~50KB quantized jitter table — caching
-// keeps that a one-time package-init cost instead of a per-run one.
-var noiselessCache = func() (cache [2][3]Profile) {
-	for _, os := range []OSKind{Windows, Linux} {
-		for _, iso := range []Isolation{Local, Sandbox, VM} {
-			p := profileCache[os][iso]
-			p.Name += "/noiseless"
-			p.OpJitterFrac = 0
-			p.OpJitterFloor = 0
-			p.SleepOvershootMean = 0
-			p.SleepOvershootSigma = 0
-			p.HazardRatePerSec = 0
-			p.AttemptProb = 0
-			p.CorruptProb = 0
-			p.MissBase = 0
-			p.MissSlopePerUs = 0
-			p.CrossJitter = 0
-			p.initSigma()
-			cache[os][iso] = p
-		}
+// get returns the (os, iso) profile, building its slot on first use. Pairs
+// outside the matrix are built afresh on every call.
+func (c *lazyProfiles) get(os OSKind, iso Isolation) Profile {
+	if os < 0 || int(os) >= len(c.slots) || iso < 0 || int(iso) >= len(c.slots[0]) {
+		return c.build(os, iso)
 	}
-	return cache
-}()
+	s := &c.slots[os][iso]
+	s.once.Do(func() { s.p = c.build(os, iso) })
+	return s.p
+}
 
-// Noiseless returns a profile with the same op costs but no stochastic
-// components: exact sleeps (still floor-limited), no jitter, no hazard, no
-// misses. Used by protocol unit tests and the ideal-channel analyses.
-func Noiseless(os OSKind, iso Isolation) Profile {
-	if os >= 0 && int(os) < len(noiselessCache) && iso >= 0 && int(iso) < len(noiselessCache[0]) {
-		return noiselessCache[os][iso]
+// baseProfile returns the local profile an OS's variants derive from; any
+// OS other than Windows gets the Linux one.
+func baseProfile(os OSKind) Profile {
+	if os == Windows {
+		return windowsLocal()
 	}
-	p := ProfileFor(os, iso)
+	return linuxLocal()
+}
+
+// calibrated builds the calibrated profile for an OS/scenario pair.
+func calibrated(os OSKind, iso Isolation) Profile {
+	p := baseProfile(os).forIsolation(iso)
+	p.initSigma()
+	return p
+}
+
+// noiselessProfile builds the noiseless variant of calibrated(os, iso):
+// the same op costs, every stochastic component zeroed.
+func noiselessProfile(os OSKind, iso Isolation) Profile {
+	p := baseProfile(os).forIsolation(iso)
 	p.Name += "/noiseless"
 	p.OpJitterFrac = 0
 	p.OpJitterFloor = 0
@@ -266,3 +264,11 @@ func Noiseless(os OSKind, iso Isolation) Profile {
 	p.initSigma()
 	return p
 }
+
+// ProfileFor returns the calibrated profile for an OS/scenario pair.
+func ProfileFor(os OSKind, iso Isolation) Profile { return profiles.get(os, iso) }
+
+// Noiseless returns a profile with the same op costs but no stochastic
+// components: exact sleeps (still floor-limited), no jitter, no hazard, no
+// misses. Used by protocol unit tests and the ideal-channel analyses.
+func Noiseless(os OSKind, iso Isolation) Profile { return noiseless.get(os, iso) }

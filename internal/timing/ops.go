@@ -4,8 +4,8 @@
 // latency, and time spent inside constraint states accrues stochastic
 // "system blocking" outliers. These are the effects that shape the paper's
 // BER/TR curves (Fig. 9, Fig. 10); the constants in calib.go are tuned so
-// the reproduction lands in the paper's bands, and DESIGN.md §5 documents
-// the calibration targets.
+// the reproduction lands in the paper's bands (calib.go lists the
+// calibration targets).
 package timing
 
 // Op identifies a priced syscall-level operation.

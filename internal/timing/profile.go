@@ -6,7 +6,7 @@ import (
 
 // Profile is a complete timing personality: per-op costs, sleep behavior,
 // outlier hazard and scenario crossing penalties. Profiles are value types;
-// derive scenario variants with ForIsolation.
+// ProfileFor and Noiseless hand out the OS × scenario variants.
 type Profile struct {
 	Name string
 	OS   OSKind
@@ -120,9 +120,9 @@ func (p *Profile) sigmaFor(op Op) float64 {
 // jitter parameters. Must be re-run after mutating OpCost, OpJitterFrac,
 // OpJitterFloor, SleepOvershootMean/Sigma, CrossCost or CrossJitter. It
 // always allocates a fresh table so profile copies sharing the old one
-// are unaffected; the calibrated construction paths run it once per
-// cached profile at package init, strictly after the last parameter
-// mutation (see calib.go).
+// are unaffected; the calibrated and noiseless builders run it once per
+// profile slot, on the slot's first request and strictly after the last
+// parameter mutation (see calib.go).
 func (p *Profile) initSigma() {
 	q := new(quantJitter)
 	for op := Op(0); op < numOps; op++ {
@@ -153,6 +153,7 @@ func (p *Profile) initSigma() {
 
 // Cost returns the jittered cost of op: with quantized tables one index
 // draw and one load of the precomputed clamped total.
+//
 //mes:allocfree
 func (p *Profile) Cost(r *sim.RNG, op Op) sim.Duration {
 	if q := p.quant; q != nil {
@@ -167,6 +168,7 @@ func (p *Profile) Cost(r *sim.RNG, op Op) sim.Duration {
 
 // SleepExtra returns the extra latency a sleep of requested length pays:
 // rounding up to the floor plus stochastic overshoot.
+//
 //mes:allocfree
 func (p *Profile) SleepExtra(r *sim.RNG, requested sim.Duration) sim.Duration {
 	extra := sim.Duration(0)
@@ -186,6 +188,7 @@ func (p *Profile) SleepExtra(r *sim.RNG, requested sim.Duration) sim.Duration {
 
 // Hazard returns outlier delay accumulated over an exposure of length d in
 // a constraint state. Zero in the common case.
+//
 //mes:allocfree
 func (p *Profile) Hazard(r *sim.RNG, d sim.Duration) sim.Duration {
 	return p.HazardCapped(r, d, 0)
@@ -244,6 +247,7 @@ func (p *Profile) Miss(r *sim.RNG, hold sim.Duration) bool {
 // CrossCost == 0 early return consumes no jitter index — local scenarios
 // must not burn substream state they never used, or the draw sequence
 // (and with it every golden) would shift.
+//
 //mes:allocfree
 func (p *Profile) Cross(r *sim.RNG) sim.Duration {
 	if p.CrossCost == 0 {
@@ -271,6 +275,7 @@ func (h hooksAdapter) SleepLatency(r *sim.RNG, requested sim.Duration) sim.Durat
 // ExecJitter's sigma depends on the per-call cost, so there is no static
 // product table; with quantized jitter available it still replaces the
 // Gaussian sample with a substream index into the shared deviate levels.
+//
 //mes:allocfree
 func (h hooksAdapter) ExecJitter(r *sim.RNG, cost sim.Duration) sim.Duration {
 	sigma := float64(cost) * h.p.OpJitterFrac

@@ -2,6 +2,7 @@ package timing
 
 import (
 	"math"
+	"sync"
 	"testing"
 	"testing/quick"
 
@@ -172,5 +173,77 @@ func TestOpStringTotal(t *testing.T) {
 		if op.String() == "op?" || op.String() == "" {
 			t.Errorf("op %d has no name", op)
 		}
+	}
+}
+
+// TestLazyProfilesConcurrentFirstUse: goroutines racing to make a slot's
+// first request all get the one table the slot built, and its contents
+// equal a fresh build. A private matrix guarantees every request is a
+// first one; the package-level matrices behind ProfileFor and Noiseless
+// (possibly built by earlier tests) go through the same checks. The race
+// detector (make race) checks the publication.
+func TestLazyProfilesConcurrentFirstUse(t *testing.T) {
+	for _, c := range []struct {
+		name  string
+		build func(OSKind, Isolation) Profile
+		get   func(OSKind, Isolation) Profile
+	}{
+		{"calibrated", calibrated, ProfileFor},
+		{"noiseless", noiselessProfile, Noiseless},
+	} {
+		fresh := &lazyProfiles{build: c.build}
+		for _, get := range []func(OSKind, Isolation) Profile{fresh.get, c.get} {
+			const racers = 16
+			got := make([][2][3]Profile, racers)
+			var start, done sync.WaitGroup
+			start.Add(1)
+			for g := range got {
+				done.Add(1)
+				go func() {
+					defer done.Done()
+					start.Wait()
+					for os := range 2 {
+						for iso := range 3 {
+							got[g][os][iso] = get(OSKind(os), Isolation(iso))
+						}
+					}
+				}()
+			}
+			start.Done()
+			done.Wait()
+			for os := range 2 {
+				for iso := range 3 {
+					want := c.build(OSKind(os), Isolation(iso))
+					first := got[0][os][iso]
+					if first.quant == nil || *first.quant != *want.quant {
+						t.Fatalf("%s %v/%v: tables differ from a fresh build", c.name, OSKind(os), Isolation(iso))
+					}
+					first.quant, want.quant = nil, nil
+					if first != want {
+						t.Fatalf("%s %v/%v: profile %+v, want %+v", c.name, OSKind(os), Isolation(iso), first, want)
+					}
+					for g := range got {
+						if got[g][os][iso].quant != got[0][os][iso].quant {
+							t.Fatalf("%s %v/%v: racer %d got its own tables", c.name, OSKind(os), Isolation(iso), g)
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestOutOfRangeProfilesBuildAfresh: pairs outside the OS × isolation
+// matrix are built on every call, never cached, from the Linux base.
+func TestOutOfRangeProfilesBuildAfresh(t *testing.T) {
+	a, b := ProfileFor(OSKind(7), Local), ProfileFor(OSKind(7), Local)
+	if a.quant == b.quant || *a.quant != *b.quant {
+		t.Fatal("out-of-range ProfileFor should build equal tables afresh per call")
+	}
+	if a.OS != Linux || a.Name != "linux/local" {
+		t.Fatalf("out-of-range ProfileFor = %s (%v), want the Linux base", a.Name, a.OS)
+	}
+	if n := Noiseless(Linux, Isolation(9)); n.Iso != Isolation(9) || n.HazardRatePerSec != 0 || n.quant == nil {
+		t.Fatalf("out-of-range Noiseless = %+v", n)
 	}
 }

@@ -201,6 +201,7 @@ func (fs *FS) Close(f *File) ([]Waiter, error) {
 // MarkDirty records pages of in as dirtied in the page cache and pending
 // in the journal. Pages are abstract units here; only their count shapes
 // the writeback cost.
+//
 //mes:allocfree
 func (fs *FS) MarkDirty(in *Inode, pages int) {
 	if pages <= 0 {
@@ -221,6 +222,7 @@ func (fs *FS) DirtyPages() int { return fs.dirtyPages }
 // number of pages flushed is returned so the OS layer can charge the
 // per-page cost. The dirty-inode list is reused across commits, so the
 // per-bit fsync path does not allocate.
+//
 //mes:allocfree
 func (fs *FS) SyncJournal() int {
 	n := fs.dirtyPages
