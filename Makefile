@@ -5,15 +5,6 @@ GO ?= go
 # The toolchain's own gofmt, so the lint gate formats with the go in use.
 GOFMT ?= $(shell $(GO) env GOROOT)/bin/gofmt
 
-# Which BENCH_PR<n>.json the bench-json target writes; bump per PR so the
-# repo accumulates a performance trajectory. Point BENCH_BASELINE at the
-# previous PR's file to embed it as the "before" column.
-BENCH_PR ?= PR10
-BENCH_BASELINE ?= BENCH_PR9.json
-
-# The measurement file perf-smoke's wall-clock gate compares against.
-PERF_BASELINE ?= BENCH_PR10.json
-
 # Coverage floors for the packages guarding the mechanism abstraction,
 # raised to the PR 5 baseline (core 82.0%, kobj 99.7% with the session
 # and retire/reinit suites): `make cover` fails if a change lands code in
@@ -28,16 +19,18 @@ COVER_KOBJ_MIN ?= 99.0
 STATICCHECK ?= staticcheck
 STATICCHECK_VERSION ?= 2025.1
 
-.PHONY: ci build vet lint bench-module test race bench bench-json perf-smoke fault-smoke fuzz-smoke cover
+.PHONY: ci build vet lint bench-module test race bench perf-smoke fault-smoke fuzz-smoke cover
 
 ci: build vet lint bench-module race perf-smoke fault-smoke cover
 
 # Static contract enforcement: every main-module Go file must be gofmt
 # clean (testdata/ fixtures, the vendored third_party/ tree and the bench/
-# module excluded), and the meslint vettool checks the determinism,
+# module excluded), the meslint vettool checks the determinism,
 # pool-hygiene, mechanism-table and allocfree contracts (see
 # internal/analysis/doc.go for the invariants and the //lint:allow /
-# //mes:* directives).
+# //mes:* directives), and every vendored package must be in the
+# module's dependency closure (tests included), so third_party/ holds
+# only code the build compiles.
 lint:
 	@unformatted="$$(find . -name '*.go' -not -path './third_party/*' -not -path './bench/*' \
 		-not -path '*/testdata/*' | xargs $(GOFMT) -l)" || \
@@ -47,6 +40,14 @@ lint:
 	fi
 	$(GO) build -o bin/meslint ./cmd/meslint
 	$(GO) vet -vettool=$(abspath bin/meslint) ./...
+	@closure="$$($(GO) list -deps -test ./...)" && \
+		vendored="$$($(GO) -C third_party/golang.org/x/tools list ./...)" || \
+		{ echo "lint: go list failed"; exit 1; }; \
+	extra="$$(printf '%s\n' "$$vendored" | grep -vxF -e "$$closure")"; \
+	if [ -n "$$extra" ]; then \
+		echo "lint: third_party holds packages the module never builds (delete them and update third_party/README.md):"; \
+		echo "$$extra"; exit 1; \
+	fi
 	@if command -v $(STATICCHECK) >/dev/null 2>&1; then \
 		ver="$$($(STATICCHECK) -version 2>/dev/null)"; \
 		case "$$ver" in \
@@ -64,22 +65,19 @@ bench-module: lint
 	$(GO) -C bench vet -vettool=$(abspath bin/meslint) ./...
 	$(GO) -C bench test -short ./...
 
-# Allocation and wall-clock regressions on the tracked hot paths fail
-# fast: the event core must stay at 0 allocs/event, a pooled one-shot
-# transmission within its 6-allocation budget (tracing it adds at most
-# 14 more), a steady-state session trial at 0 allocations, the quick
-# registry within 15% of the checked-in wall-clock baseline, and the
-# event core above an absolute events/s floor
-# with the registry under an absolute wall budget (levels re-picked per PR
-# in cmd/mesbench), both normalized by the machine's raw coroutine-switch
-# cost so slower runners don't false-alarm (mesbench -perfcheck; wall and
-# event-core gates are measured best-of-three and skipped for baselines
-# predating the needed rows).
+# Allocation and work-count regressions on the tracked hot paths fail
+# fast, and never flake: the event core must stay at 0 allocs/event, a
+# pooled one-shot transmission within its 6-allocation budget (tracing it
+# adds at most 14 more) and a steady-state session trial at 0
+# allocations. The work-count gates compare exact, deterministic counts:
+# the raw event core's switches and events pushed, and per mechanism the
+# switches, symbol windows, events pushed and trace entries of a fixed
+# trial batch. Wall clock is left to bench/, which reports it with its
+# spread.
 perf-smoke:
-	$(GO) test -count=1 -run 'TestKernelEventAllocsAmortizedZero' ./internal/sim
+	$(GO) test -count=1 -run 'TestKernelEventAllocsAmortizedZero|TestBenchLoadWorkCounts' ./internal/sim
 	$(GO) test -count=1 -run 'TestTransmissionAllocBudget|TestTracedTransmissionAllocBudget' .
-	$(GO) test -count=1 -run 'TestSessionAllocsSteadyStateZero' ./internal/core
-	$(GO) run ./cmd/mesbench -perfcheck $(PERF_BASELINE)
+	$(GO) test -count=1 -run 'TestSessionAllocsSteadyStateZero|TestSwitchesPerBitBudget' ./internal/core
 
 # Fault-matrix smoke (PR 10): the faultsweep experiment — fault rate ×
 # mechanism × recovery mode, nonzero rates included — must complete in
@@ -136,10 +134,3 @@ cover:
 # workers=1 vs workers=N speedup comparison.
 bench:
 	$(GO) test -bench=. -benchtime=1x -run='^$$' ./internal/sim ./internal/detect .
-
-# Refresh the performance-trajectory snapshot: raw event-core throughput,
-# one full transmission (ns/op + allocs/op), and the Fig. 9 sweep
-# wall-clock at workers=1 and workers=GOMAXPROCS.
-bench-json:
-	$(GO) run ./cmd/mesbench -benchjson BENCH_$(BENCH_PR).json \
-		$(if $(BENCH_BASELINE),-benchbaseline $(BENCH_BASELINE))

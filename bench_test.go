@@ -283,7 +283,7 @@ func BenchmarkSimulator(b *testing.B) {
 
 // BenchmarkTransmission measures one complete Event-channel transmission —
 // the unit of work every sweep cell amortizes. ns/op and allocs/op here are
-// the per-trial costs BENCH_PR*.json tracks across PRs.
+// its per-trial costs; TestTransmissionAllocBudget gates the allocations.
 func BenchmarkTransmission(b *testing.B) {
 	cfg := core.BenchConfig()
 	b.ReportAllocs()

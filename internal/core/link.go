@@ -243,8 +243,8 @@ func (l *link) runTrojan(p *osmodel.Proc) {
 		return
 	}
 	for _, sym := range l.syms {
-		// Symbol-window boundary: the kernel counts windows for the
-		// switches-per-bit trajectory row.
+		// Symbol-window boundary: the kernel counts windows, the
+		// denominator of switches per bit.
 		p.MarkBit()
 		if l.rv != nil {
 			if !l.rv.ArriveLead(p) {
@@ -397,11 +397,10 @@ func (l *link) arm(sys *osmodel.System) error {
 	return nil
 }
 
-// BenchConfig is the standard single-transmission workload behind the
-// performance-trajectory numbers (BenchmarkTransmission, `mesbench
-// -benchjson`): a 1000-bit Event-channel transmission in the local
-// scenario at a fixed seed. Keeping it here keeps the two consumers
-// measuring the same thing.
+// BenchConfig is the standard single-transmission workload behind
+// BenchmarkTransmission, BenchmarkSessionTrials and the allocation gates:
+// a 1000-bit Event-channel transmission in the local scenario at a fixed
+// seed. Keeping it here keeps every consumer measuring the same thing.
 func BenchConfig() Config {
 	return Config{
 		Mechanism: Event,

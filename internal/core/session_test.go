@@ -378,8 +378,8 @@ func TestSessionCache(t *testing.T) {
 }
 
 // BenchmarkSessionTrials measures one steady-state session trial — the
-// batched sweep-cell unit BENCH_PR5.json tracks (trial_allocs_steady_state
-// must stay 0). Compare with BenchmarkTransmission, the one-shot unit.
+// batched sweep-cell unit, whose allocations TestSessionAllocsSteadyStateZero
+// pins at 0. Compare with BenchmarkTransmission, the one-shot unit.
 func BenchmarkSessionTrials(b *testing.B) {
 	s, err := NewSession(BenchConfig())
 	if err != nil {
@@ -395,54 +395,71 @@ func BenchmarkSessionTrials(b *testing.B) {
 	}
 }
 
-// TestSwitchesPerBitBudget pins the scheduler's structural efficiency per
-// transmitted symbol: the kernel's coroutine-switch counter, read across a
-// batch of steady-state trials, must stay within each channel family's
-// recorded budget. Cooperation channels run at ~1 switch per bit (the
-// receiver parks, the sender's wake is the only transfer — the pause fast
-// path absorbs the rest); contention channels pay up to two (the
-// rendezvous barrier's park/wake round on top of the resource handoff).
-// A regression here — an optimisation that silently adds a dispatch per
-// bit — moves wall-clock more than any heap tweak, so it gets its own
-// gate alongside the alloc budgets.
+// TestSwitchesPerBitBudget pins the work each mechanism does per
+// transmitted symbol, exactly. Over four steady-state trials of a pinned
+// session (after one warm-up trial, so spawn-time work amortizes) it
+// counts the kernel's coroutine switches, symbol windows and events
+// pushed on the heap, and one traced Run of the same config counts the
+// syscall-level records (kobj, vfs and osmodel operations). The counts
+// are deterministic, so the gate is equality and never flakes: an
+// optimisation that silently adds a dispatch, an event or a syscall per
+// bit fails it. An intended engine change updates the table; the
+// failure message prints the measured row ready to paste.
 func TestSwitchesPerBitBudget(t *testing.T) {
-	budgets := []struct {
-		mech   Mechanism
-		budget float64
-	}{
-		{Event, 1.1}, {Timer, 1.1}, {CondVar, 1.1}, // cooperation
-		{WriteSync, 1.1},                // journal wake, no barrier
-		{FileLockEX, 1.6}, {Mutex, 1.6}, // contention, granted in place
-		{Flock, 2.0}, {Semaphore, 2.0}, {Futex, 2.0}, // contention + barrier round
+	type workCounts struct {
+		switches, windows, events uint64 // summed over the four trials
+		traced                    int    // Trace.Len of one traced Run
 	}
-	for _, c := range budgets {
+	want := []struct {
+		mech Mechanism
+		work workCounts
+	}{
+		{Event, workCounts{1644, 1636, 3284, 1230}}, // cooperation: ~1 switch per bit
+		{Timer, workCounts{1648, 1636, 4924, 821}},
+		{CondVar, workCounts{1644, 1636, 3284, 1230}},
+		{WriteSync, workCounts{1706, 1636, 3404, 1230}},  // journal wake, no barrier
+		{FileLockEX, workCounts{2416, 1636, 4824, 1013}}, // contention, granted in place
+		{Mutex, workCounts{2416, 1636, 4824, 1013}},
+		{Flock, workCounts{3184, 1636, 6360, 2215}}, // contention + barrier round
+		{Semaphore, workCounts{3099, 1636, 6190, 1013}},
+		{Futex, workCounts{3184, 1636, 6360, 2215}},
+	}
+	for _, w := range want {
 		cfg := Config{
-			Mechanism: c.mech,
+			Mechanism: w.mech,
 			Scenario:  Local(),
 			Payload:   sessionTestPayload(400),
 			Seed:      9,
 		}
 		s, err := NewSession(cfg)
 		if err != nil {
-			t.Fatalf("%v: NewSession: %v", c.mech, err)
+			t.Fatalf("%v: NewSession: %v", w.mech, err)
 		}
 		if _, err := s.Run(9); err != nil { // warm: spawn switches amortize
-			t.Fatalf("%v: warm-up trial: %v", c.mech, err)
+			t.Fatalf("%v: warm-up trial: %v", w.mech, err)
 		}
-		sw0, _, bits0 := s.KernelStats()
+		var got workCounts
+		sw0, _, win0 := s.KernelStats()
 		for trial := 0; trial < 4; trial++ {
 			if _, err := s.Run(runner.TrialSeed(9, trial)); err != nil {
-				t.Fatalf("%v trial %d: %v", c.mech, trial, err)
+				t.Fatalf("%v trial %d: %v", w.mech, trial, err)
 			}
+			got.events += s.sys.Kernel().Scheduled()
 		}
-		sw1, _, bits1 := s.KernelStats()
+		sw1, _, win1 := s.KernelStats()
 		s.Close()
-		if bits1 == bits0 {
-			t.Fatalf("%v: no symbol windows marked — window marks missing from the sender loop", c.mech)
+		got.switches, got.windows = sw1-sw0, win1-win0
+
+		cfg.Trace = sim.NewTrace(0)
+		if _, err := Run(cfg); err != nil {
+			t.Fatalf("%v: traced run: %v", w.mech, err)
 		}
-		perBit := float64(sw1-sw0) / float64(bits1-bits0)
-		if perBit > c.budget {
-			t.Errorf("%v: %.3f coroutine switches per bit, budget %.2f", c.mech, perBit, c.budget)
+		got.traced = cfg.Trace.Len()
+
+		if got != w.work {
+			t.Errorf("%v: work counts changed (switches, windows, events pushed, trace entries)\n got workCounts{%d, %d, %d, %d}\nwant workCounts{%d, %d, %d, %d}",
+				w.mech, got.switches, got.windows, got.events, got.traced,
+				w.work.switches, w.work.windows, w.work.events, w.work.traced)
 		}
 	}
 }

@@ -9,8 +9,8 @@ import (
 // BenchTrace builds a deterministic trace shaped like a covert channel's
 // observable activity — metronomic flock pairs on a handful of resources
 // with background kill/setevent noise — without running a simulation. It
-// is the standard workload behind BenchmarkDetectAnalyze and the detector
-// row of `mesbench -benchjson`.
+// is the standard workload behind BenchmarkDetectAnalyze and bench/'s
+// detect rows.
 func BenchTrace(n int) []sim.Entry {
 	entries := make([]sim.Entry, 0, n)
 	t := sim.Time(0)

@@ -7,9 +7,9 @@ import (
 )
 
 // BenchmarkDetectAnalyze measures the trace-scan cost per entry — the
-// defender-side analog of the kernel's events/s number, tracked in
-// BENCH_PR*.json. Entries are grouped by their Object, so the scan pays
-// no per-entry parsing or fmt rendering.
+// defender-side analog of the kernel's events/s number (bench/ reports it
+// as detect.entries_per_s). Entries are grouped by their Object, so the
+// scan pays no per-entry parsing or fmt rendering.
 func BenchmarkDetectAnalyze(b *testing.B) {
 	const n = 8192
 	entries := BenchTrace(n)

@@ -93,10 +93,10 @@ func resetSweepCaches() {
 	trialResults.Reset()
 }
 
-// ResetCaches drops every memoized sweep and trial result. Benchmark
-// harnesses (mesbench -benchjson) call it between timed measurements so a
-// wall-clock number never reflects another measurement's warm cache;
-// regular sweep pipelines should leave the caches alone.
+// ResetCaches drops every memoized sweep and trial result. The bench/
+// module calls it before each timed registry run so a wall-clock number
+// never reflects another measurement's warm cache; regular sweep
+// pipelines should leave the caches alone.
 func ResetCaches() { resetSweepCaches() }
 
 // runTrial routes one cell through the cross-sweep memo and the worker's

@@ -30,8 +30,8 @@ type FaultSweepRow struct {
 // through the faultRateNone sentinel so a mesbench-wide -faultrate never
 // contaminates the baseline column. Quick mode drops the middle rate:
 // at quick resolution the 0.005 column carries too little signal for a
-// stable recovery-dominance reading, and shedding its trials is what
-// keeps the quick registry inside perf-smoke's 125ms wall budget.
+// stable recovery-dominance reading, and shedding its trials keeps the
+// quick registry fast.
 var (
 	faultSweepRates      = []float64{0, 0.005, 0.02}
 	faultSweepRatesQuick = []float64{0, 0.02}

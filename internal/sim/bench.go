@@ -5,8 +5,8 @@ package sim
 // chosen so that nearly every sleep coexists with pending events from the
 // other processes and must go through the event queue and a real handoff —
 // the worst case for the scheduler hot path. It is the standard workload
-// behind the event-core trajectory numbers (BenchmarkKernelEvents,
-// `mesbench -benchjson`); it returns the exact number of sleeps scheduled.
+// behind BenchmarkKernelEvents, TestBenchLoadWorkCounts and bench/'s
+// sim.event_ns; it returns the exact number of sleeps scheduled.
 func SpawnBenchLoad(k *Kernel, nprocs, total int) int {
 	durs := [...]Duration{3, 5, 7, 11, 13, 17, 19, 23}
 	if nprocs < 1 {
@@ -27,8 +27,8 @@ func SpawnBenchLoad(k *Kernel, nprocs, total int) int {
 // SpawnPingPong populates k with two processes that alternate via Yield
 // for rounds rounds each, so every round is one full control transfer:
 // a schedule, a pop, and a kernel↔process handoff in each direction. It is
-// the workload behind BenchmarkContextSwitch and the context-switch row of
-// `mesbench -benchjson`; it returns the total number of yields.
+// the workload behind BenchmarkContextSwitch and bench/'s sim.switch_ns;
+// it returns the total number of yields.
 func SpawnPingPong(k *Kernel, rounds int) int {
 	for w := 0; w < 2; w++ {
 		k.Spawn("pingpong", func(p *Proc) {

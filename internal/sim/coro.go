@@ -9,7 +9,7 @@ import "iter"
 // loop, idle park, cancellation unwind — in one place with a minimal
 // contract, so the scheduler never touches resume plumbing directly and
 // the raw cost of the layer is measurable on its own (ResumeRoundTrips,
-// the resume_ns trajectory row).
+// bench/'s sim.resume_ns row).
 //
 // Why the transfers still ride iter.Pull rather than raw
 // runtime.coroswitch: the obvious endgame — pull-linkname
@@ -90,7 +90,7 @@ func (h *coroHandle) drop() {
 // ResumeRoundTrips performs n raw handoff round trips on a standalone
 // coroutine — the resume layer alone, with no kernel, events, heap or
 // timing model. It is the workload behind BenchmarkResumeRoundTrip and
-// the resume_ns trajectory row: its delta against the context-switch row
+// bench/'s sim.resume_ns row: its delta against the context-switch row
 // is the scheduling work (schedule, pop, delivery) per kernel round trip.
 func ResumeRoundTrips(n int) {
 	var h coroHandle

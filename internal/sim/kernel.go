@@ -574,20 +574,24 @@ func (k *Kernel) Live() int { return k.live }
 
 // MarkWindow counts the start of one transmitted symbol's window. The
 // protocol layer calls it once per symbol from the sender's loop; the
-// count is the denominator of the bench trajectory's switches per bit.
+// count is the denominator of switches per bit.
 //
 //mes:allocfree
 func (k *Kernel) MarkWindow() { k.windows++ }
 
 // Switches reports the cumulative number of coroutine transfers into
 // process bodies since the kernel was created. The counter survives
-// Reset — the bench harness reads deltas across pooled trials — and is
-// cleared only by Release.
+// Reset — callers read deltas across pooled trials — and is cleared only
+// by Release.
 func (k *Kernel) Switches() uint64 { return k.switches }
 
 // Windows reports the cumulative number of symbol windows marked by
 // MarkWindow. Like Switches it survives Reset and is cleared by Release.
 func (k *Kernel) Windows() uint64 { return k.windows }
+
+// Scheduled reports how many events the current run has pushed on the
+// heap: the tie-breaking sequence counter, which Reset clears.
+func (k *Kernel) Scheduled() uint64 { return k.seq }
 
 // Record appends an entry for p at site s to the attached trace (no-op
 // without one). Higher layers use it to log syscall-level activity — the

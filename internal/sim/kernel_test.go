@@ -378,8 +378,8 @@ func TestCountersSurviveReset(t *testing.T) {
 	}
 }
 
-// TestSwitchCounter pins the switch accounting the bench trajectory
-// depends on: one ping-pong round is one switch into each body.
+// TestSwitchCounter pins the switch accounting switches per bit depends
+// on: one ping-pong round is one switch into each body.
 func TestSwitchCounter(t *testing.T) {
 	k := NewKernel()
 	SpawnPingPong(k, 100)
